@@ -7,9 +7,9 @@ use cephsim::{build_ceph_cluster, CephCluster, CephConfig};
 use hopsfs::client::ClientStats;
 use hopsfs::{build_fs_cluster, FsConfig, NameNodeActor, OpKind};
 use serde::{Deserialize, Serialize};
-use simnet::{AzId, NodeId, SimDuration, SimTime, Simulation};
+use simnet::{AzId, FxHashMap, NodeId, SimDuration, SimTime, Simulation};
 use std::sync::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use workload::{MicroOp, MicroSource, Mix, Namespace, NamespaceSpec, SpotifySource};
 
@@ -164,7 +164,7 @@ struct Baseline {
     storage: Vec<NodeSnap>,
     servers: Vec<NodeSnap>,
     server_ops: Vec<u64>,
-    reads_rank: HashMap<(u32, u8), u64>,
+    reads_rank: FxHashMap<(u32, u8), u64>,
     cross_az: u64,
 }
 
@@ -173,7 +173,7 @@ fn capture(
     storage_ids: &[NodeId],
     server_ids: &[NodeId],
     server_ops: impl Fn(&Simulation, NodeId) -> u64,
-    reads_rank: impl Fn(&Simulation) -> HashMap<(u32, u8), u64>,
+    reads_rank: impl Fn(&Simulation) -> FxHashMap<(u32, u8), u64>,
 ) -> Baseline {
     Baseline {
         at: sim.now(),
@@ -191,7 +191,7 @@ fn lane_util(
     before: &[NodeSnap],
     window: SimDuration,
 ) -> (f64, Vec<(String, f64)>) {
-    let mut per_class: HashMap<&'static str, (f64, usize)> = HashMap::new();
+    let mut per_class: FxHashMap<&'static str, (f64, usize)> = FxHashMap::default();
     let mut node_utils = Vec::new();
     for (i, &id) in ids.iter().enumerate() {
         let lanes = sim.lanes(id);
@@ -289,7 +289,7 @@ pub fn run(setup: Setup, params: &Params) -> RunResult {
                 // Steady-state capability cache: every session already holds
                 // caps on the hot file set and the directory attributes, as
                 // a long-warmed cluster would.
-                let mut warm: HashMap<(String, bool), hopsfs::FsOk> = HashMap::new();
+                let mut warm: FxHashMap<(String, bool), hopsfs::FsOk> = FxHashMap::default();
                 {
                     let store = cluster.ns.lock().unwrap();
                     for f in ns.files.iter().take(1024) {
@@ -320,8 +320,8 @@ pub fn run(setup: Setup, params: &Params) -> RunResult {
         }
     };
     let storage_for_reads = storage_ids.clone();
-    let reads_rank = move |sim: &Simulation| -> HashMap<(u32, u8), u64> {
-        let mut out = HashMap::new();
+    let reads_rank = move |sim: &Simulation| -> FxHashMap<(u32, u8), u64> {
+        let mut out = FxHashMap::default();
         if is_ceph {
             return out;
         }

@@ -12,10 +12,10 @@ use crate::namespace::SubtreeMap;
 use hopsfs::client::{ClientStats, OpSource};
 use hopsfs::types::{FsError, FsOk, FsResult};
 use hopsfs::{FsOp, OpKind};
-use simnet::{Actor, Ctx, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Ctx, FxHashMap, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
 use std::sync::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -41,12 +41,12 @@ pub struct CephClientActor {
     source: Box<dyn OpSource>,
     stats: Arc<Mutex<ClientStats>>,
     /// Kernel cache: path → cached result (attrs or listing).
-    cache: HashMap<(String, bool), FsOk>,
+    cache: FxHashMap<(String, bool), FsOk>,
     /// Shared steady-state cache: capabilities every client already holds
     /// when the measurement starts (the paper measures warmed clusters;
     /// warming 10k sessions inside the simulation would waste hours of
     /// virtual time on a known fixpoint). Read-only and shared.
-    pub prewarm: Option<Arc<HashMap<(String, bool), FsOk>>>,
+    pub prewarm: Option<Arc<FxHashMap<(String, bool), FsOk>>>,
     /// FIFO eviction order for the cache.
     cache_order: VecDeque<(String, bool)>,
     next_req: u64,
@@ -82,7 +82,7 @@ impl CephClientActor {
             skip_kcache,
             source,
             stats,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             prewarm: None,
             cache_order: VecDeque::new(),
             next_req: 0,

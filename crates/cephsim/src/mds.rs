@@ -12,10 +12,10 @@ use crate::namespace::{CephNamespace, SubtreeMap};
 use crate::osd::{OsdWrite, OsdWriteAck};
 use hopsfs::types::{FsError, FsOk, FsResult};
 use hopsfs::{FsOp, OpKind};
-use simnet::{Actor, Ctx, NodeId, Payload, SimDuration};
+use simnet::{Actor, Ctx, FxHashMap, NodeId, Payload, SimDuration};
 use std::any::Any;
 use std::sync::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Lane-class name of the single MDS request thread.
@@ -79,7 +79,7 @@ pub struct MdsStats {
     /// Requests handled (including redirects).
     pub requests: u64,
     /// Requests handled per kind.
-    pub by_kind: HashMap<OpKind, u64>,
+    pub by_kind: FxHashMap<OpKind, u64>,
     /// Redirects sent.
     pub redirects: u64,
     /// Journal bytes written.
@@ -105,7 +105,7 @@ pub struct MdsActor {
     next_osd: usize,
     stalled: VecDeque<(NodeId, MdsRequest, simnet::SimTime)>,
     window_requests: u64,
-    dir_heat: HashMap<String, u64>,
+    dir_heat: FxHashMap<String, u64>,
     /// Statistics.
     pub stats: MdsStats,
 }
@@ -134,7 +134,7 @@ impl MdsActor {
             next_osd: my_idx,
             stalled: VecDeque::new(),
             window_requests: 0,
-            dir_heat: HashMap::new(),
+            dir_heat: FxHashMap::default(),
             stats: MdsStats::default(),
         }
     }

@@ -10,8 +10,9 @@
 //! migrations instead charge an export/import pause on the source MDS.
 
 use hopsfs::types::{DirEntry, FsError, InodeAttrs, InodeId, Perm};
+use simnet::FxHashMap;
 use std::sync::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One namespace entry.
@@ -50,9 +51,9 @@ impl Entry {
 #[derive(Debug)]
 pub struct CephNamespace {
     /// Path → entry. Root is `/`.
-    entries: HashMap<String, Entry>,
+    entries: FxHashMap<String, Entry>,
     /// Dir path → child names (sorted for deterministic listings).
-    children: HashMap<String, BTreeMap<String, ()>>,
+    children: FxHashMap<String, BTreeMap<String, ()>>,
     next_id: u64,
 }
 
@@ -93,7 +94,11 @@ impl CephNamespace {
 
     /// Creates a namespace containing only the root.
     pub fn new() -> Self {
-        let mut ns = CephNamespace { entries: HashMap::new(), children: HashMap::new(), next_id: 2 };
+        let mut ns = CephNamespace {
+            entries: FxHashMap::default(),
+            children: FxHashMap::default(),
+            next_id: 2,
+        };
         ns.entries.insert(
             "/".to_string(),
             Entry { id: 1, is_dir: true, size: 0, mtime: 0, perm: 0o755 },

@@ -99,7 +99,7 @@ fn dirpinned_distributes_subtrees_across_mds() {
         cluster.bulk_add_file(&format!("/user/u{u}/f"), 0);
     }
     cluster.apply_pinning();
-    let owners: std::collections::HashSet<usize> =
+    let owners: simnet::FxHashSet<usize> =
         (0..6).map(|u| cluster.map.lock().unwrap().owner_of(&format!("/user/u{u}/f"))).collect();
     assert_eq!(owners.len(), 3, "pinning should use all 3 MDSs: {owners:?}");
     // Ops on differently pinned subtrees are served by different MDSs.
@@ -162,7 +162,7 @@ fn dynamic_balancer_spreads_hot_load() {
     }
     sim.run_until(SimTime::from_secs(20));
     // After balancing, ownership is spread beyond MDS 0.
-    let owners: std::collections::HashSet<usize> =
+    let owners: simnet::FxHashSet<usize> =
         (0..9).map(|u| cluster.map.lock().unwrap().owner_of(&format!("/user/u{u}/data"))).collect();
     assert!(owners.len() >= 2, "balancer never moved anything: {owners:?}");
     let version = cluster.map.lock().unwrap().version;

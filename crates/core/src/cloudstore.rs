@@ -20,10 +20,9 @@
 //! rows carry the [`CLOUD_LOCATION`] sentinel, and datanode re-replication
 //! is the provider's problem.
 
-use simnet::{Actor, Ctx, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Ctx, FxHashMap, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
 use std::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Replica-location sentinel meaning "the block lives in the object store".
@@ -72,7 +71,7 @@ pub struct DeleteObject {
 /// front-ends (provider-internal replication is not tenant traffic).
 #[derive(Debug, Default)]
 pub struct CloudStoreState {
-    objects: HashMap<u64, u64>,
+    objects: FxHashMap<u64, u64>,
     /// PUT requests served (for the fee model).
     pub put_requests: u64,
     /// GET requests served.

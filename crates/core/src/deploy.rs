@@ -11,9 +11,8 @@ use crate::namenode::{NameNodeActor, NN_WORKER};
 use crate::types::InodeId;
 use crate::view::FsView;
 use ndb::{NdbCluster, Schema};
-use simnet::{AzId, Disk, HostId, LaneClassSpec, Location, NodeId, NodeSpec, Simulation};
+use simnet::{AzId, Disk, FxHashMap, HostId, LaneClassSpec, Location, NodeId, NodeSpec, Simulation};
 use std::sync::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Bulk-loader id space: the sequence row starts here, so directly loaded
@@ -29,7 +28,7 @@ pub struct FsCluster {
     /// Object-store accounting when the cloud block backend is enabled.
     pub cloud: Option<Arc<Mutex<CloudStoreState>>>,
     bulk_next_id: u64,
-    bulk_dirs: HashMap<String, u64>,
+    bulk_dirs: FxHashMap<String, u64>,
 }
 
 /// Builds the full stack into `sim`: the NDB cluster, `cfg.nn_count`
@@ -133,7 +132,13 @@ pub fn build_fs_cluster(sim: &mut Simulation, cfg: FsConfig, dn_count: usize) ->
     }
 
     let mut cluster =
-        FsCluster { view, ndb, cloud, bulk_next_id: InodeId::ROOT.0 + 1, bulk_dirs: HashMap::new() };
+        FsCluster {
+            view,
+            ndb,
+            cloud,
+            bulk_next_id: InodeId::ROOT.0 + 1,
+            bulk_dirs: FxHashMap::default(),
+        };
     cluster.bulk_dirs.insert("/".to_string(), InodeId::ROOT.0);
 
     // Bootstrap rows: the root inode and the id sequence.

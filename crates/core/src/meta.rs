@@ -71,7 +71,7 @@ impl FsSchema {
 
     /// Row key of a directory entry.
     pub fn inode_key(parent: InodeId, name: &str) -> RowKey {
-        RowKey::with_suffix(parent.0, name.as_bytes().to_vec())
+        RowKey::with_suffix(parent.0, Bytes::copy_from_slice(name.as_bytes()))
     }
 
     /// Row key of a block row.
@@ -81,10 +81,10 @@ impl FsSchema {
 
     /// Row key of a replica row.
     pub fn replica_key(file: InodeId, block: u64, dn_idx: u32) -> RowKey {
-        let mut suffix = Vec::with_capacity(12);
-        suffix.extend_from_slice(&block.to_le_bytes());
-        suffix.extend_from_slice(&dn_idx.to_le_bytes());
-        RowKey::with_suffix(file.0, suffix)
+        let mut suffix = [0u8; 12];
+        suffix[..8].copy_from_slice(&block.to_le_bytes());
+        suffix[8..].copy_from_slice(&dn_idx.to_le_bytes());
+        RowKey::with_suffix(file.0, Bytes::copy_from_slice(&suffix))
     }
 
     /// Row key of a small file's inline data.
@@ -104,7 +104,7 @@ impl FsSchema {
 
     /// Row key of a named id sequence.
     pub fn sequence_key(name: &str) -> RowKey {
-        RowKey::with_suffix(0, name.as_bytes().to_vec())
+        RowKey::with_suffix(0, Bytes::copy_from_slice(name.as_bytes()))
     }
 
     /// Row key of a subtree operation's lock row.

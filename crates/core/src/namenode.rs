@@ -35,15 +35,16 @@ use crate::meta::{
     StoRecord,
 };
 use crate::ops::{ActiveNn, ActiveNns, FsOp, FsRequest, FsResponse, GetActiveNns, OpKind};
+use crate::path::FsPath;
 use crate::placement::place_replicas;
 use crate::types::{BlockLocation, DirEntry, FsError, FsOk, FsResult, InodeId};
 use crate::view::FsView;
 use bytes::Bytes;
 use ndb::messages::ReadSpec;
 use ndb::{AbortReason, ClientKernel, LockMode, PartitionKey, RowKey, TxEvent, TxId, WriteOp};
-use simnet::{Actor, Admission, Ctx, Gate, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Admission, Ctx, FxHashMap, Gate, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Lane-class name for the namenode worker pool.
@@ -80,9 +81,9 @@ pub struct BlockDnHeartbeat {
 #[derive(Debug, Default, Clone)]
 pub struct NnStats {
     /// Successfully answered operations per kind.
-    pub ops_ok: HashMap<OpKind, u64>,
+    pub ops_ok: FxHashMap<OpKind, u64>,
     /// Failed operations per kind (after retries).
-    pub ops_err: HashMap<OpKind, u64>,
+    pub ops_err: FxHashMap<OpKind, u64>,
     /// Transaction retries performed.
     pub tx_retries: u64,
     /// Inode-hint cache hits.
@@ -142,20 +143,26 @@ impl NnStats {
     }
 }
 
+/// Resolution state of one path. Names are referenced by component index
+/// into the op's shared [`FsPath`], never copied.
 #[derive(Debug, Clone)]
 struct Walk {
-    comps: Vec<String>,
+    path: FsPath,
+    /// `path.depth()`.
+    depth: usize,
+    /// Index of the next component to resolve.
     idx: usize,
     /// Inode id of the deepest resolved directory (starts at root).
     cur: u64,
-    /// Row key (parent, name) of the deepest resolved inode (the root's own
-    /// row is `(0, "")`).
-    cur_key: (u64, String),
-    /// Components resolved from the inode-hint cache: `(parent, name,
-    /// expected id)`. HopsFS validates these with read-committed reads
-    /// *inside* the transaction (batched with the lock reads) — these are
-    /// exactly the reads that Read Backup makes AZ-local (§IV-A5, Fig. 14).
-    cached_chain: Vec<(u64, String, u64)>,
+    /// Parent id of the deepest resolved inode, whose name is component
+    /// `idx - 1` (see [`Walk::cur_key`]).
+    cur_parent: u64,
+    /// Components resolved from the inode-hint cache: `(parent, component
+    /// index, expected id)`. HopsFS validates these with read-committed
+    /// reads *inside* the transaction (batched with the lock reads) — these
+    /// are exactly the reads that Read Backup makes AZ-local (§IV-A5,
+    /// Fig. 14).
+    cached_chain: Vec<(u64, usize, u64)>,
     /// Every resolved directory id on the path, root first (cache- and
     /// DB-resolved alike) — the lease grant's ancestor-id chain.
     resolved_ids: Vec<u64>,
@@ -163,23 +170,32 @@ struct Walk {
 }
 
 impl Walk {
-    fn new(comps: &[String], stop_at_parent: bool) -> Self {
+    fn new(path: &FsPath, stop_at_parent: bool) -> Self {
         Walk {
-            comps: comps.to_vec(),
+            path: path.clone(),
+            depth: path.depth(),
             idx: 0,
             cur: InodeId::ROOT.0,
-            cur_key: (InodeId::NONE.0, String::new()),
+            cur_parent: InodeId::NONE.0,
             cached_chain: Vec::new(),
             resolved_ids: vec![InodeId::ROOT.0],
             stop_at_parent,
         }
     }
 
+    /// The walks an op resolves: its path, plus the destination of a rename.
+    fn for_op(op: &FsOp) -> (Walk, Option<Walk>) {
+        match op {
+            FsOp::Rename { src, dst } => (Walk::new(src, true), Some(Walk::new(dst, true))),
+            op => (Walk::new(op.path(), true), None),
+        }
+    }
+
     fn end(&self) -> usize {
         if self.stop_at_parent {
-            self.comps.len().saturating_sub(1)
+            self.depth.saturating_sub(1)
         } else {
-            self.comps.len()
+            self.depth
         }
     }
 
@@ -187,8 +203,30 @@ impl Walk {
         self.end().saturating_sub(self.idx)
     }
 
+    /// The next component to resolve.
+    fn next_name(&self) -> &str {
+        self.path.component(self.idx)
+    }
+
+    /// Records that the next component resolved to directory `id`.
+    fn advance(&mut self, id: u64) {
+        self.cur_parent = self.cur;
+        self.cur = id;
+        self.resolved_ids.push(id);
+        self.idx += 1;
+    }
+
+    /// Row key `(parent, name)` of the deepest resolved inode (the root's
+    /// own row is `(0, "")`).
+    fn cur_key(&self) -> (u64, &str) {
+        match self.idx {
+            0 => (InodeId::NONE.0, ""),
+            i => (self.cur_parent, self.path.component(i - 1)),
+        }
+    }
+
     fn final_name(&self) -> &str {
-        self.comps.last().map(String::as_str).unwrap_or("")
+        self.path.name().unwrap_or("")
     }
 }
 
@@ -389,9 +427,9 @@ pub struct NameNodeActor {
     /// My index among the namenodes.
     pub my_idx: usize,
     kernel: Option<ClientKernel>,
-    ops: HashMap<u64, OpCtx>,
-    tx_to_op: HashMap<TxId, u64>,
-    admin_txs: HashMap<TxId, AdminTx>,
+    ops: FxHashMap<u64, OpCtx>,
+    tx_to_op: FxHashMap<TxId, u64>,
+    admin_txs: FxHashMap<TxId, AdminTx>,
     next_op: u64,
     cache: HintCache,
     ids_next: u64,
@@ -399,7 +437,7 @@ pub struct NameNodeActor {
     id_refill_inflight: bool,
     awaiting_ids: VecDeque<u64>,
     counter: u64,
-    seen: HashMap<u32, (u64, SimTime)>,
+    seen: FxHashMap<u32, (u64, SimTime)>,
     /// Active namenodes from the last election scan.
     pub active: Vec<ActiveNn>,
     /// Leader from the last election scan.
@@ -489,9 +527,9 @@ impl NameNodeActor {
             view,
             my_idx,
             kernel: None,
-            ops: HashMap::new(),
-            tx_to_op: HashMap::new(),
-            admin_txs: HashMap::new(),
+            ops: FxHashMap::default(),
+            tx_to_op: FxHashMap::default(),
+            admin_txs: FxHashMap::default(),
             next_op: 0,
             cache: HintCache::new(CACHE_CAP),
             ids_next: 0,
@@ -499,7 +537,7 @@ impl NameNodeActor {
             id_refill_inflight: false,
             awaiting_ids: VecDeque::new(),
             counter: 0,
-            seen: HashMap::new(),
+            seen: FxHashMap::default(),
             active: Vec::new(),
             leader_idx: 0,
             dn_last_hb: vec![SimTime::ZERO; dns],
@@ -588,12 +626,6 @@ impl NameNodeActor {
         self.kernel.as_mut().expect("namenode not started")
     }
 
-    fn cache_put(&mut self, parent: u64, name: &str, id: u64, is_dir: bool) {
-        // Capacity is the HintCache's problem: generational eviction ages
-        // out cold entries instead of dropping the whole working set.
-        self.cache.put(parent, name, id, is_dir);
-    }
-
     fn alloc_id(&mut self) -> u64 {
         debug_assert!(self.ids_next < self.ids_end, "id pool exhausted mid-op");
         let id = self.ids_next;
@@ -667,6 +699,7 @@ impl NameNodeActor {
         }
         let op_id = self.next_op;
         self.next_op += 1;
+        let (walk_a, walk_b) = Walk::for_op(&req.op);
         let octx = OpCtx {
             client: from,
             req_id: req.req_id,
@@ -677,8 +710,8 @@ impl NameNodeActor {
             started: now,
             tx: None,
             stage: Stage::WalkA,
-            walk_a: Walk::new(&[], false), // placeholders; set in reset
-            walk_b: None,
+            walk_a,
+            walk_b,
             parent_rec: None,
             target_rec: None,
             parent_b_rec: None,
@@ -719,13 +752,7 @@ impl NameNodeActor {
             self.sto_inflight.remove(&root);
         }
         let octx = self.ops.get_mut(&op_id).expect("op exists");
-        let (walk_a, walk_b) = match &octx.op {
-            FsOp::Rename { src, dst } => (
-                Walk::new(src.components(), true),
-                Some(Walk::new(dst.components(), true)),
-            ),
-            op => (Walk::new(op.path().components(), true), None),
-        };
+        let (walk_a, walk_b) = Walk::for_op(&octx.op);
         octx.walk_a = walk_a;
         octx.walk_b = walk_b;
         octx.stage = Stage::WalkA;
@@ -1266,15 +1293,11 @@ impl NameNodeActor {
 
     fn walk_cache(cache: &mut HintCache, walk: &mut Walk, stats: &mut NnStats) {
         while walk.idx < walk.end() {
-            let name = walk.comps[walk.idx].clone();
-            match cache.get(walk.cur, &name) {
+            match cache.get(walk.cur, walk.next_name()) {
                 Some((id, true)) => {
                     stats.cache_hits += 1;
-                    walk.cached_chain.push((walk.cur, name.clone(), id));
-                    walk.cur_key = (walk.cur, name);
-                    walk.cur = id;
-                    walk.resolved_ids.push(id);
-                    walk.idx += 1;
+                    walk.cached_chain.push((walk.cur, walk.idx, id));
+                    walk.advance(id);
                 }
                 _ => {
                     stats.cache_misses += 1;
@@ -1303,8 +1326,7 @@ impl NameNodeActor {
                     WalkOutcome::Locks
                 }
             } else {
-                let name = walk.comps[walk.idx].clone();
-                let key = FsSchema::inode_key(InodeId(walk.cur), &name);
+                let key = FsSchema::inode_key(InodeId(walk.cur), walk.next_name());
                 WalkOutcome::Read { tx: octx.tx.expect("tx started"), key }
             }
         };
@@ -1327,7 +1349,9 @@ impl NameNodeActor {
         enum Next {
             Continue,
             Fail(FsError, bool /*read-only*/),
-            StaleCache(Vec<(u64, String, u64)>),
+            /// A cache-resolved ancestor chain broke (already dropped from
+            /// the cache): retry from the root.
+            StaleCache,
             /// A subtree operation owns this directory (§3.6): back off.
             StoLocked,
         }
@@ -1346,8 +1370,17 @@ impl NameNodeActor {
                         Next::Fail(FsError::NotFound, read_only)
                     } else {
                         // An ancestor came from the cache and the chain broke
-                        // under it: possibly stale.
-                        Next::StaleCache(walk.cached_chain.clone())
+                        // under it: possibly stale. Drop exactly that chain
+                        // (each cached link, plus anything cached beneath its
+                        // topmost id); unrelated hot entries stay.
+                        self.stats.cache_stale_drops += 1;
+                        for &(parent, ix, _) in &walk.cached_chain {
+                            self.cache.remove(parent, walk.path.component(ix));
+                        }
+                        if let Some(&(_, _, top)) = walk.cached_chain.first() {
+                            self.cache.remove_subtree(top);
+                        }
+                        Next::StaleCache
                     }
                 }
                 Some(data) => {
@@ -1358,20 +1391,14 @@ impl NameNodeActor {
                         // namespace region that is being bulk-mutated.
                         Next::StoLocked
                     } else {
-                        let name = walk.comps[walk.idx].clone();
-                        let parent = walk.cur;
-                        walk.cur_key = (parent, name.clone());
-                        walk.cur = rec.id;
-                        walk.resolved_ids.push(rec.id);
-                        walk.idx += 1;
+                        walk.advance(rec.id);
                         if !rec.is_dir {
                             // Walks only traverse directories (they stop
                             // before the final component).
                             Next::Fail(FsError::NotDir, read_only)
                         } else {
-                            let id = rec.id;
-                            let _ = walk;
-                            self.cache_put(parent, &name, id, true);
+                            let (parent, name) = walk.cur_key();
+                            self.cache.put(parent, name, rec.id, true);
                             Next::Continue
                         }
                     }
@@ -1389,20 +1416,7 @@ impl NameNodeActor {
                     self.finish_readonly(ctx, op_id, Err(e));
                 }
             }
-            Next::StaleCache(chain) => {
-                // Some link of the cached ancestor chain moved under us:
-                // drop exactly that chain (each cached link, plus anything
-                // cached beneath its topmost id) and retry from the root.
-                // Unrelated hot entries stay.
-                self.stats.cache_stale_drops += 1;
-                for &(parent, ref name, _) in &chain {
-                    self.cache.remove(parent, name);
-                }
-                if let Some(&(_, _, top)) = chain.first() {
-                    self.cache.remove_subtree(top);
-                }
-                self.retry_op(ctx, op_id, false);
-            }
+            Next::StaleCache => self.retry_op(ctx, op_id, false),
             Next::StoLocked => {
                 self.stats.sto_rejections += 1;
                 let hint = self.cfg().admission.sto_busy_retry_after;
@@ -1422,12 +1436,12 @@ impl NameNodeActor {
             // Validation reads for every cache-resolved ancestor, batched
             // with the lock reads — one round trip when the cache is warm.
             let push_ancestors = |specs: &mut Vec<(LockSlot, ReadSpec)>, walk: &Walk| {
-                for (parent, name, id) in &walk.cached_chain {
+                for &(parent, ix, id) in &walk.cached_chain {
                     specs.push((
-                        LockSlot::Ancestor { expected_id: *id },
+                        LockSlot::Ancestor { expected_id: id },
                         ReadSpec {
                             table: inodes,
-                            key: FsSchema::inode_key(InodeId(*parent), name),
+                            key: FsSchema::inode_key(InodeId(parent), walk.path.component(ix)),
                             mode: LockMode::ReadCommitted,
                         },
                     ));
@@ -1442,7 +1456,7 @@ impl NameNodeActor {
             if read_only {
                 // Target read (read-committed, backup-eligible). Root is
                 // implicit and needs no read.
-                if !octx.walk_a.comps.is_empty() {
+                if octx.walk_a.depth > 0 {
                     specs.push((
                         LockSlot::TargetA,
                         ReadSpec {
@@ -1458,7 +1472,7 @@ impl NameNodeActor {
                     LockSlot::ParentA,
                     ReadSpec {
                         table: inodes,
-                        key: FsSchema::inode_key(InodeId(wa.cur_key.0), &wa.cur_key.1),
+                        key: FsSchema::inode_key(InodeId(wa.cur_key().0), wa.cur_key().1),
                         mode: LockMode::Shared,
                     },
                 ));
@@ -1475,7 +1489,7 @@ impl NameNodeActor {
                         LockSlot::ParentB,
                         ReadSpec {
                             table: inodes,
-                            key: FsSchema::inode_key(InodeId(wb.cur_key.0), &wb.cur_key.1),
+                            key: FsSchema::inode_key(InodeId(wb.cur_key().0), wb.cur_key().1),
                             mode: LockMode::Shared,
                         },
                     ));
@@ -1534,7 +1548,7 @@ impl NameNodeActor {
         let plan = {
             let octx = self.ops.get_mut(&op_id).expect("op exists");
             // Root is implicit: synthesize its record when the path is `/`.
-            if octx.target_rec.is_none() && octx.walk_a.comps.is_empty() {
+            if octx.target_rec.is_none() && octx.walk_a.depth == 0 {
                 octx.target_rec = Some(InodeRecord::dir(InodeId::ROOT, 0));
             }
             let rec = match octx.target_rec.clone() {
@@ -1659,18 +1673,12 @@ impl NameNodeActor {
             // fallback). The rest of the working set survives.
             self.stats.cache_stale_drops += 1;
             let octx = &self.ops[&op_id];
-            let mut links: Vec<(u64, String)> = Vec::new();
-            for chain in std::iter::once(&octx.walk_a.cached_chain)
-                .chain(octx.walk_b.as_ref().map(|w| &w.cached_chain))
-            {
-                for &(parent, ref name, id) in chain {
+            for walk in std::iter::once(&octx.walk_a).chain(&octx.walk_b) {
+                for &(parent, ix, id) in &walk.cached_chain {
                     if stale_ids.contains(&id) {
-                        links.push((parent, name.clone()));
+                        self.cache.remove(parent, walk.path.component(ix));
                     }
                 }
-            }
-            for (parent, name) in links {
-                self.cache.remove(parent, &name);
             }
             for id in stale_ids {
                 self.cache.remove_subtree(id);
@@ -2623,7 +2631,7 @@ impl NameNodeActor {
                         Plan::Scan { table: fs.replicas, pk: id }
                     }
                     _ => {
-                        let mut locs: HashMap<u64, Vec<u32>> = HashMap::new();
+                        let mut locs: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
                         for r in &rows {
                             let rep = ReplicaRecord::decode(&r.data);
                             locs.entry(rep.block_id).or_default().push(rep.dn_idx);

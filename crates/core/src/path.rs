@@ -5,8 +5,13 @@
 //! HDFS normalizes them away client-side).
 
 use crate::types::FsError;
+use std::sync::Arc;
 
 /// A validated, normalized absolute path.
+///
+/// The normalized text (`"/"` for root, else `"/a/b"`) lives in one shared
+/// allocation, so cloning a path — and every op that carries one — is a
+/// reference-count bump.
 ///
 /// # Examples
 ///
@@ -14,20 +19,20 @@ use crate::types::FsError;
 /// use hopsfs::path::FsPath;
 ///
 /// let p = FsPath::parse("/user/spotify/playlists").unwrap();
-/// assert_eq!(p.components(), &["user", "spotify", "playlists"]);
+/// assert_eq!(p.components().collect::<Vec<_>>(), ["user", "spotify", "playlists"]);
 /// assert_eq!(p.name(), Some("playlists"));
 /// assert_eq!(p.parent().unwrap().to_string(), "/user/spotify");
 /// assert!(FsPath::parse("relative/path").is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct FsPath {
-    components: Vec<String>,
+    text: Arc<str>,
 }
 
 impl FsPath {
     /// The root path `/`.
     pub fn root() -> Self {
-        FsPath { components: Vec::new() }
+        FsPath { text: Arc::from("/") }
     }
 
     /// Parses and validates an absolute path.
@@ -40,46 +45,73 @@ impl FsPath {
         if !s.starts_with('/') {
             return Err(FsError::Invalid);
         }
-        let mut components = Vec::new();
+        let mut normalized = true;
         for part in s.split('/').skip(1) {
             if part.is_empty() {
                 // Allow a single trailing slash ("/a/b/" == "/a/b") and "/".
+                normalized = false;
                 continue;
             }
             if part == "." || part == ".." || part.len() > 255 {
                 return Err(FsError::Invalid);
             }
-            components.push(part.to_string());
         }
-        Ok(FsPath { components })
+        if normalized || s == "/" {
+            return Ok(FsPath { text: Arc::from(s) });
+        }
+        let mut text = String::with_capacity(s.len());
+        for part in s.split('/').filter(|p| !p.is_empty()) {
+            text.push('/');
+            text.push_str(part);
+        }
+        if text.is_empty() {
+            return Ok(FsPath::root());
+        }
+        Ok(FsPath { text: Arc::from(text) })
     }
 
     /// Path components, root-first.
-    pub fn components(&self) -> &[String] {
-        &self.components
+    pub fn components(&self) -> std::str::SplitTerminator<'_, char> {
+        self.text[1..].split_terminator('/')
+    }
+
+    /// The component at `index` (root-first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.depth()`.
+    pub fn component(&self, index: usize) -> &str {
+        self.components().nth(index).expect("component index within depth")
     }
 
     /// Number of components (0 for root).
     pub fn depth(&self) -> usize {
-        self.components.len()
+        if self.is_root() {
+            0
+        } else {
+            self.text.bytes().filter(|&b| b == b'/').count()
+        }
     }
 
     /// Whether this is the root path.
     pub fn is_root(&self) -> bool {
-        self.components.is_empty()
+        self.text.len() == 1
     }
 
     /// Final component, or `None` for root.
     pub fn name(&self) -> Option<&str> {
-        self.components.last().map(String::as_str)
+        self.components().next_back()
     }
 
     /// Parent path, or `None` for root.
     pub fn parent(&self) -> Option<FsPath> {
-        if self.components.is_empty() {
-            None
-        } else {
-            Some(FsPath { components: self.components[..self.components.len() - 1].to_vec() })
+        if self.is_root() {
+            return None;
+        }
+        match self.text.rfind('/') {
+            Some(0) => Some(FsPath::root()),
+            Some(i) => Some(FsPath { text: Arc::from(&self.text[..i]) }),
+            None => unreachable!("normalized paths start with '/'"),
         }
     }
 
@@ -90,27 +122,29 @@ impl FsPath {
     /// Panics if `name` contains `/` or is empty (callers validate first).
     pub fn join(&self, name: &str) -> FsPath {
         assert!(!name.is_empty() && !name.contains('/'), "invalid component {name:?}");
-        let mut components = self.components.clone();
-        components.push(name.to_string());
-        FsPath { components }
+        let base = if self.is_root() { "" } else { &self.text };
+        FsPath { text: Arc::from(format!("{base}/{name}")) }
     }
 
     /// Whether `self` is an ancestor of (or equal to) `other`.
     pub fn is_prefix_of(&self, other: &FsPath) -> bool {
-        other.components.len() >= self.components.len()
-            && other.components[..self.components.len()] == self.components[..]
+        self.is_root()
+            || (other.text.starts_with(&*self.text)
+                && other.text.as_bytes().get(self.text.len()).is_none_or(|&b| b == b'/'))
     }
 }
 
 impl std::fmt::Display for FsPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.components.is_empty() {
-            return f.write_str("/");
-        }
-        for c in &self.components {
-            write!(f, "/{c}")?;
-        }
-        Ok(())
+        f.write_str(&self.text)
+    }
+}
+
+/// Formats as the component list, `FsPath { components: ["a", "b"] }`.
+impl std::fmt::Debug for FsPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let components: Vec<&str> = self.components().collect();
+        f.debug_struct("FsPath").field("components", &components).finish()
     }
 }
 
@@ -163,5 +197,18 @@ mod tests {
     fn join_extends() {
         let p = FsPath::root().join("a").join("b");
         assert_eq!(p.to_string(), "/a/b");
+        assert_eq!(p, FsPath::parse("/a/b").unwrap());
+    }
+
+    #[test]
+    fn components_index_and_depth_agree() {
+        let p = FsPath::parse("//a//bc/d/").unwrap();
+        assert_eq!(p.to_string(), "/a/bc/d");
+        assert_eq!(p.components().collect::<Vec<_>>(), ["a", "bc", "d"]);
+        assert_eq!((p.depth(), p.component(1)), (3, "bc"));
+        assert_eq!(FsPath::root().components().count(), 0);
+        assert_eq!(FsPath::parse("///").unwrap(), FsPath::root());
+        assert!(!FsPath::parse("/a/b").unwrap().is_prefix_of(&FsPath::parse("/a/bc").unwrap()));
+        assert_eq!(format!("{p:?}"), r#"FsPath { components: ["a", "bc", "d"] }"#);
     }
 }

@@ -13,8 +13,7 @@ use crate::routing::select_tc;
 use crate::schema::{PartitionKey, Row, TableId};
 use crate::view::ClusterView;
 use bytes::Bytes;
-use simnet::{AzId, Ctx, Location, NodeId, RetryPolicy, SimDuration, SimTime};
-use std::collections::HashMap;
+use simnet::{AzId, Ctx, FxHashMap, Location, NodeId, RetryPolicy, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// What a transaction is currently waiting for.
@@ -88,7 +87,7 @@ pub struct ClientKernel {
     my_domain: Option<AzId>,
     client_bits: u32,
     next_seq: u64,
-    txs: HashMap<TxId, ClientTx>,
+    txs: FxHashMap<TxId, ClientTx>,
     /// Per-datanode suspicion deadline (believed dead until then).
     suspect_until: Vec<SimTime>,
     /// Consecutive timeouts per datanode; indexes the suspicion backoff and
@@ -146,7 +145,7 @@ impl ClientKernel {
             my_domain,
             client_bits: client_node.0,
             next_seq: 0,
-            txs: HashMap::new(),
+            txs: FxHashMap::default(),
             suspect_until: vec![SimTime::ZERO; n],
             tc_failures: vec![0; n],
             pending_suspects: Vec::new(),

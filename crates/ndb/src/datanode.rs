@@ -24,9 +24,9 @@ use crate::schema::{LockMode, PartitionKey, Row, RowKey, TableId, TableOptions};
 use crate::routing::route_read;
 use crate::view::ClusterView;
 use bytes::Bytes;
-use simnet::{Actor, Ctx, DiskOp, NodeId, Payload, SimDuration, SimTime};
+use simnet::{Actor, Ctx, DiskOp, FxHashMap, NodeId, Payload, SimDuration, SimTime};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 // Timer payloads.
@@ -75,7 +75,7 @@ pub struct DnStats {
     /// Read-committed and locked reads served, keyed by
     /// `(table, partition, replica rank)` — rank 0 is the partition's
     /// primary. This is the data behind Figure 14.
-    pub reads_by_partition_rank: HashMap<(TableId, u32, u8), u64>,
+    pub reads_by_partition_rank: FxHashMap<(TableId, u32, u8), u64>,
     /// Transactions committed while this node coordinated them.
     pub tx_committed: u64,
     /// Transactions aborted while this node coordinated them.
@@ -197,7 +197,7 @@ struct TcTx {
     last_activity: SimTime,
     step_started: SimTime,
     // Read step.
-    pending_reads: HashMap<u64, usize>,
+    pending_reads: FxHashMap<u64, usize>,
     read_results: Vec<Option<Bytes>>,
     reads_outstanding: usize,
     // Commit step: (token, replica chain) per written row.
@@ -220,7 +220,7 @@ impl TcTx {
             participants: BTreeSet::new(),
             last_activity: now,
             step_started: now,
-            pending_reads: HashMap::new(),
+            pending_reads: FxHashMap::default(),
             read_results: Vec::new(),
             reads_outstanding: 0,
             chains: Vec::new(),
@@ -269,7 +269,7 @@ pub struct DatanodeActor {
     recovering: bool,
     /// Rows written while recovering; snapshot rows for these keys are
     /// discarded so the resync copy converges with ongoing traffic.
-    resync_dirty: std::collections::HashSet<(TableId, RowKey)>,
+    resync_dirty: simnet::FxHashSet<(TableId, RowKey)>,
     /// Resync attempts so far (rotates the snapshot source).
     resync_attempts: u32,
     /// Snapshot fragments received while recovering. A `CopyFragDone` (a
@@ -282,29 +282,29 @@ pub struct DatanodeActor {
     /// requested only when a tick sees no progress (source slow or dead).
     resync_progress_mark: u64,
     // LDM role.
-    store: HashMap<(TableId, PartitionKey), BTreeMap<Bytes, Bytes>>,
+    store: FxHashMap<(TableId, PartitionKey), BTreeMap<Bytes, Bytes>>,
     locks: LockManager,
-    lock_conts: HashMap<(TxId, u64), LockCont>,
+    lock_conts: FxHashMap<(TxId, u64), LockCont>,
     /// When each queued lock request started waiting, and the op span it
     /// belongs to — drives the `lock_wait_ns` histogram and lock spans.
-    lock_queued: HashMap<(TxId, u64), (SimTime, simnet::SpanId)>,
-    pending_writes: HashMap<(TxId, u64), WriteOp>,
+    lock_queued: FxHashMap<(TxId, u64), (SimTime, simnet::SpanId)>,
+    pending_writes: FxHashMap<(TxId, u64), WriteOp>,
     /// Row locked by each in-flight 2PC token at this node, for the
     /// per-row releases of the commit protocol.
-    row_of_token: HashMap<(TxId, u64), (TableId, RowKey)>,
+    row_of_token: FxHashMap<(TxId, u64), (TableId, RowKey)>,
     /// Which datanode coordinates each transaction touching me (take-over).
-    tx_coordinator: HashMap<TxId, u32>,
+    tx_coordinator: FxHashMap<TxId, u32>,
     /// Rows of each in-flight transaction this LDM has already applied at
     /// commit — the commit evidence reported during TC take-over.
-    commit_applied: HashMap<TxId, u32>,
+    commit_applied: FxHashMap<TxId, u32>,
     /// Orphaned transactions reported to a take-over TC, with the deadline
     /// after which this node falls back to releasing locally.
-    awaiting_takeover: HashMap<TxId, SimTime>,
+    awaiting_takeover: FxHashMap<TxId, SimTime>,
     /// Take-over TC role: reports collected per orphaned transaction.
     takeover: BTreeMap<TxId, TakeOverState>,
     redo_pending: u64,
     // TC role.
-    txs: HashMap<TxId, TcTx>,
+    txs: FxHashMap<TxId, TcTx>,
     // Arbitration.
     current_arb: usize,
     last_arb_pong: SimTime,
@@ -332,23 +332,23 @@ impl DatanodeActor {
             cluster_down: false,
             shutting_down: false,
             recovering: false,
-            resync_dirty: std::collections::HashSet::new(),
+            resync_dirty: simnet::FxHashSet::default(),
             resync_attempts: 0,
             resync_frags_recv: 0,
             resync_expected: None,
             resync_progress_mark: 0,
-            store: HashMap::new(),
+            store: FxHashMap::default(),
             locks: LockManager::default(),
-            lock_conts: HashMap::new(),
-            lock_queued: HashMap::new(),
-            pending_writes: HashMap::new(),
-            row_of_token: HashMap::new(),
-            tx_coordinator: HashMap::new(),
-            commit_applied: HashMap::new(),
-            awaiting_takeover: HashMap::new(),
+            lock_conts: FxHashMap::default(),
+            lock_queued: FxHashMap::default(),
+            pending_writes: FxHashMap::default(),
+            row_of_token: FxHashMap::default(),
+            tx_coordinator: FxHashMap::default(),
+            commit_applied: FxHashMap::default(),
+            awaiting_takeover: FxHashMap::default(),
             takeover: BTreeMap::new(),
             redo_pending: 0,
-            txs: HashMap::new(),
+            txs: FxHashMap::default(),
             current_arb: 0,
             last_arb_pong: SimTime::ZERO,
             suspect_since: None,
@@ -1572,7 +1572,7 @@ impl DatanodeActor {
         let req_idx = m.from as usize;
         let view = Arc::clone(&self.view);
         let pmap = self.pmap.clone();
-        let scope: Option<std::collections::HashSet<(TableId, PartitionId)>> =
+        let scope: Option<simnet::FxHashSet<(TableId, PartitionId)>> =
             m.scope.map(|s| s.into_iter().collect());
         let mut frags: Vec<(TableId, PartitionKey)> = self
             .store

@@ -5,8 +5,7 @@
 use ndb::locks::{LockManager, TxId};
 use ndb::{ClusterConfig, LockMode, PartitionKey, PartitionMap, RowKey, TableId, TableOptions};
 use proptest::prelude::*;
-use simnet::AzId;
-use std::collections::{HashMap, HashSet};
+use simnet::{AzId, FxHashMap, FxHashSet};
 
 const T: TableId = TableId(0);
 
@@ -36,26 +35,26 @@ proptest! {
     fn lock_manager_safety(cmds in proptest::collection::vec(cmd_strategy(), 1..80)) {
         let mut lm = LockManager::default();
         // Model: row -> holders (tx, exclusive).
-        let mut holders: HashMap<u8, Vec<(u8, bool)>> = HashMap::new();
-        let mut waiting: HashSet<(u8, u8)> = HashSet::new(); // (tx, row)
+        let mut holders: FxHashMap<u8, Vec<(u8, bool)>> = FxHashMap::default();
+        let mut waiting: FxHashSet<(u8, u8)> = FxHashSet::default(); // (tx, row)
         let key = |row: u8| RowKey::simple(u64::from(row));
         let txid = |tx: u8| TxId { client: 0, seq: u64::from(tx) };
 
-        let check = |holders: &HashMap<u8, Vec<(u8, bool)>>| {
+        let check = |holders: &FxHashMap<u8, Vec<(u8, bool)>>| {
             for hs in holders.values() {
                 let excl = hs.iter().filter(|&&(_, e)| e).count();
                 if excl > 0 {
                     assert_eq!(hs.len(), 1, "exclusive must be sole holder: {hs:?}");
                 }
-                let txs: HashSet<u8> = hs.iter().map(|&(t, _)| t).collect();
+                let txs: FxHashSet<u8> = hs.iter().map(|&(t, _)| t).collect();
                 assert_eq!(txs.len(), hs.len(), "duplicate holders: {hs:?}");
             }
         };
 
         // Grants coming back from releases re-enter the model.
         let apply_grants = |granted: Vec<ndb::locks::Waiter>,
-                                holders: &mut HashMap<u8, Vec<(u8, bool)>>,
-                                waiting: &mut HashSet<(u8, u8)>| {
+                                holders: &mut FxHashMap<u8, Vec<(u8, bool)>>,
+                                waiting: &mut FxHashSet<(u8, u8)>| {
             for w in granted {
                 let tx = w.tx.seq as u8;
                 let row = w.token as u8; // we pass the row as the token below
@@ -135,13 +134,13 @@ proptest! {
             let reps = pmap.replicas(pid);
             prop_assert_eq!(reps.len(), r);
             // Distinct and in one node group.
-            let set: HashSet<usize> = reps.iter().copied().collect();
+            let set: FxHashSet<usize> = reps.iter().copied().collect();
             prop_assert_eq!(set.len(), r);
             let g = pmap.group_of(pid);
             prop_assert!(reps.iter().all(|&i| cfg.node_group_of(i) == g));
             // AZ spread: with r replicas over 3 AZs, replicas cover
             // min(r, 3) distinct AZs.
-            let rep_azs: HashSet<_> = reps
+            let rep_azs: FxHashSet<_> = reps
                 .iter()
                 .map(|&i| cfg.datanodes[i].location_domain_id.expect("az-aware"))
                 .collect();
@@ -152,7 +151,7 @@ proptest! {
                 TableOptions { read_backup: false, fully_replicated: true },
                 &vec![true; n],
             );
-            let fr_set: HashSet<usize> = fr.iter().copied().collect();
+            let fr_set: FxHashSet<usize> = fr.iter().copied().collect();
             prop_assert_eq!(fr_set.len(), n);
         }
     }

@@ -78,6 +78,12 @@ struct LaneClass {
 #[derive(Debug, Clone, Default)]
 pub struct Lanes {
     classes: Vec<LaneClass>,
+    /// `(address, length, class index)` of every `'static` name a class has
+    /// been looked up by, seeded with the spec names. Two `'static` strings
+    /// with equal address and length are equal, and a shorter-lived string
+    /// can never sit at a `'static` address, so an address hit needs no
+    /// string compare.
+    by_addr: Vec<(usize, usize, usize)>,
 }
 
 impl Lanes {
@@ -88,6 +94,7 @@ impl Lanes {
     /// Panics if a class has zero threads or a duplicate name.
     pub fn new(specs: &[LaneClassSpec]) -> Self {
         let mut classes: Vec<LaneClass> = Vec::with_capacity(specs.len());
+        let mut by_addr = Vec::with_capacity(specs.len());
         for s in specs {
             assert!(s.count > 0, "lane class {} must have at least one thread", s.name);
             assert!(
@@ -95,29 +102,51 @@ impl Lanes {
                 "duplicate lane class name {}",
                 s.name
             );
+            by_addr.push((s.name.as_ptr() as usize, s.name.len(), classes.len()));
             classes.push(LaneClass {
                 name: s.name,
                 busy_until: vec![SimTime::ZERO; s.count],
                 busy_total: SimDuration::ZERO,
                 batching: s.batching,
-            items: 0,
+                items: 0,
             });
         }
-        Lanes { classes }
+        Lanes { classes, by_addr }
     }
 
-    fn class_mut(&mut self, name: &str) -> &mut LaneClass {
+    fn index_by_addr(&self, name: &str) -> Option<usize> {
+        let addr = (name.as_ptr() as usize, name.len());
+        self.by_addr.iter().find(|&&(p, l, _)| (p, l) == addr).map(|&(_, _, ix)| ix)
+    }
+
+    fn index_by_name(&self, name: &str) -> usize {
         self.classes
-            .iter_mut()
-            .find(|c| c.name == name)
+            .iter()
+            .position(|c| c.name == name)
             .unwrap_or_else(|| panic!("unknown lane class {name}"))
+    }
+
+    fn index(&self, name: &str) -> usize {
+        self.index_by_addr(name).unwrap_or_else(|| self.index_by_name(name))
     }
 
     fn class(&self, name: &str) -> &LaneClass {
-        self.classes
-            .iter()
-            .find(|c| c.name == name)
-            .unwrap_or_else(|| panic!("unknown lane class {name}"))
+        &self.classes[self.index(name)]
+    }
+
+    /// Index of class `name` in declaration order. Compares names only the
+    /// first time a given `'static` string is seen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class does not exist.
+    pub(crate) fn class_index(&mut self, name: &'static str) -> usize {
+        if let Some(ix) = self.index_by_addr(name) {
+            return ix;
+        }
+        let ix = self.index_by_name(name);
+        self.by_addr.push((name.as_ptr() as usize, name.len(), ix));
+        ix
     }
 
     /// Schedules a work item of `cost` on the earliest-free lane of `class`,
@@ -144,7 +173,20 @@ impl Lanes {
         now: SimTime,
         cost: SimDuration,
     ) -> (SimTime, SimTime, &'static str) {
-        let c = self.class_mut(class);
+        let ix = self.index(class);
+        let (start, done) = self.execute_at(ix, now, cost);
+        (start, done, self.classes[ix].name)
+    }
+
+    /// [`execute_timed`](Lanes::execute_timed) on the class at `ix` (from
+    /// [`class_index`](Lanes::class_index)); returns `(start, done)`.
+    pub(crate) fn execute_at(
+        &mut self,
+        ix: usize,
+        now: SimTime,
+        cost: SimDuration,
+    ) -> (SimTime, SimTime) {
+        let c = &mut self.classes[ix];
         // Earliest-free lane.
         let lane = {
             let mut best = 0usize;
@@ -165,7 +207,7 @@ impl Lanes {
         c.busy_until[lane] = done;
         c.busy_total += effective;
         c.items += 1;
-        (start, done, c.name)
+        (start, done)
     }
 
     /// Time at which the earliest lane of `class` becomes free (backlog probe).
@@ -188,6 +230,11 @@ impl Lanes {
     /// Completed work items on a class.
     pub fn items(&self, class: &str) -> u64 {
         self.class(class).items
+    }
+
+    /// Name of the class at `ix` (declaration order).
+    pub(crate) fn class_name(&self, ix: usize) -> &'static str {
+        self.classes[ix].name
     }
 
     /// Names of all classes, in declaration order.

@@ -38,12 +38,13 @@
 //! assert_eq!(m.rtt(AzId(1), AzId(2)).as_micros(), 399);
 //! ```
 
-#![forbid(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod availability;
 mod cpu;
 mod flow;
+mod hash;
 mod metrics;
 mod nemesis;
 mod retry;
@@ -56,6 +57,7 @@ mod wheel;
 pub use availability::{AvailabilityRecorder, AvailabilityReport, UnavailabilityWindow};
 pub use cpu::{Batching, Disk, DiskOp, LaneClassSpec, Lanes, UtilizationWindow};
 pub use flow::{poisson_interarrival, Admission, BoundedQueue, Gate, RateCurve, TokenBucket};
+pub use hash::{FxHashMap, FxHashSet};
 pub use metrics::{Counter, Histogram};
 pub use nemesis::{Fault, NemesisTrace, Schedule};
 pub use retry::RetryPolicy;

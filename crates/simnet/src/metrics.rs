@@ -136,9 +136,19 @@ impl Histogram {
         self.max
     }
 
+    /// Bucket indices that can hold samples: every recorded value lies in
+    /// `[min, max]`, and bucketing is monotone.
+    fn used(&self) -> std::ops::RangeInclusive<usize> {
+        Self::index_of(self.min)..=Self::index_of(self.max)
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+        if other.count == 0 {
+            return;
+        }
+        let used = other.used();
+        for (a, b) in self.buckets[used.clone()].iter_mut().zip(&other.buckets[used]) {
             *a += b;
         }
         self.count += other.count;
@@ -149,7 +159,11 @@ impl Histogram {
 
     /// Removes all samples.
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        if self.count == 0 {
+            return; // already empty: every bucket is zero
+        }
+        let used = self.used();
+        self.buckets[used].iter_mut().for_each(|b| *b = 0);
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -279,6 +293,22 @@ mod tests {
         assert_eq!(h.min(), 10);
         assert_eq!(h.max(), 1_000_000);
         assert_eq!(h.mean(), (10.0 + 20.0 + 30.0 + 1_000_000.0) / 4.0);
+    }
+
+    #[test]
+    fn merge_and_clear_cover_every_used_bucket() {
+        let (lo, hi) = ([3u64, 40, 41, 900], [70_000u64, 5_000_000, u64::MAX]);
+        let (mut a, mut b, mut all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        lo.iter().for_each(|&v| a.record(v));
+        hi.iter().for_each(|&v| b.record(v));
+        lo.iter().chain(&hi).for_each(|&v| all.record(v));
+        a.merge(&Histogram::new());
+        a.merge(&b);
+        assert_eq!(a.buckets, all.buckets);
+        a.clear();
+        assert!(a.buckets.iter().all(|&c| c == 0));
+        a.record(7);
+        assert_eq!((a.count(), a.min(), a.max(), a.quantile(1.0)), (1, 7, 7, 7));
     }
 
     #[test]

@@ -68,14 +68,15 @@
 //! ```
 
 use crate::cpu::{Disk, DiskOp, LaneClassSpec, Lanes};
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{AzId, LatencyModel, Location};
-use crate::trace::{chrome_trace_json, MetricsRegistry, Span, SpanId, Tracer};
+use crate::trace::{chrome_trace_json, CpuSlot, MetricsRegistry, Span, SpanId, Tracer};
 use crate::wheel::EventQueue;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -141,7 +142,9 @@ pub fn downcast<T: Any>(msg: Box<dyn Payload>) -> Result<Box<T>, Box<dyn Any>> {
 /// Self-scheduled messages (via [`Ctx::schedule`]) serve as timers. Actors
 /// are `Send` because their shard may run on a worker thread; each actor is
 /// still only ever dispatched by the one thread that owns its shard.
-pub trait Actor: Send {
+/// `Any` is a supertrait so [`Simulation::actor`] and
+/// [`Simulation::actor_mut`] can downcast a `dyn Actor` by trait upcasting.
+pub trait Actor: Any + Send {
     /// Called once when the simulation starts (time zero) or when the actor
     /// is added to an already-running simulation.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -163,7 +166,7 @@ pub trait Actor: Send {
     /// self-scheduled messages it is the actor itself.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Box<dyn Payload>);
 
-    /// Upcast for post-run state inspection via [`Simulation::actor`].
+    /// Upcast to `Any`, for callers that hold a `&dyn Actor`.
     fn as_any(&self) -> &dyn Any;
 }
 
@@ -377,11 +380,11 @@ struct Globals {
     /// Directed AZ links currently blocked: `(src_az, dst_az)` means messages
     /// from `src_az` to `dst_az` are dropped. Symmetric partitions insert
     /// both directions; asymmetric (gray) partitions insert one.
-    blocked_az_links: HashSet<(u8, u8)>,
+    blocked_az_links: FxHashSet<(u8, u8)>,
     /// Directed node-pair links currently blocked.
-    blocked_node_links: HashSet<(u32, u32)>,
+    blocked_node_links: FxHashSet<(u32, u32)>,
     /// Nodes cut off from everyone (both directions).
-    isolated_nodes: HashSet<u32>,
+    isolated_nodes: FxHashSet<u32>,
     /// Installed probabilistic message faults.
     link_faults: Vec<LinkFault>,
     /// Placement of every node, indexed by id.
@@ -423,10 +426,19 @@ impl Globals {
     }
 }
 
+/// Resolves the CPU-metric slot of each of a node's lane classes in the
+/// registry of the shard that owns the node.
+fn cpu_slots(metrics: &mut MetricsRegistry, layer: &'static str, lanes: &Lanes) -> Vec<CpuSlot> {
+    lanes.class_names().map(|lane| metrics.cpu_slot(layer, lane)).collect()
+}
+
 /// Per-node state owned by exactly one shard: CPU/disk models, liveness
 /// truth, the node's RNG stream, and its event-key counter.
 struct NodeLocal {
     lanes: Lanes,
+    /// CPU-metric slot of each lane class (declaration order) in the owning
+    /// shard's registry, resolved when the node is placed on the shard.
+    cpu_slots: Vec<CpuSlot>,
     disk: Option<Disk>,
     /// Ground-truth liveness (the shard owning the node sees changes from
     /// `shutdown_self` immediately; everyone else reads the published copy).
@@ -466,7 +478,7 @@ struct Shard {
     outbox: Vec<Vec<QueuedEvent>>,
     /// Next free instant of each directed inter-AZ link whose source AZ this
     /// shard owns (AZ-granular grouping makes the owner unique).
-    az_link_free: HashMap<(u8, u8), SimTime>,
+    az_link_free: FxHashMap<(u8, u8), SimTime>,
     /// Delivered bytes between AZ pairs: `az_traffic[src][dst]` (partial;
     /// summed across shards for queries).
     az_traffic: Vec<Vec<u64>>,
@@ -498,7 +510,7 @@ impl Shard {
             locals: Vec::new(),
             actors: Vec::new(),
             outbox: (0..nshards).map(|_| Vec::new()).collect(),
-            az_link_free: HashMap::new(),
+            az_link_free: FxHashMap::default(),
             az_traffic: Vec::new(),
             msgs_dropped: 0,
             msgs_duplicated: 0,
@@ -900,26 +912,25 @@ impl<'a> Ctx<'a> {
     /// # Panics
     ///
     /// Panics if the node has no such lane class.
-    pub fn execute(&mut self, class: &str, cost: SimDuration) -> SimTime {
+    pub fn execute(&mut self, class: &'static str, cost: SimDuration) -> SimTime {
         let now = self.sh.now;
-        let (start, done, lane) = {
-            let l = &mut self.sh.locals[self.li];
-            let cost = if l.slowdown != 1.0 { cost.mul_f64(l.slowdown) } else { cost };
-            l.lanes.execute_timed(class, now, cost)
-        };
-        let layer = self.g.layers[self.me.0 as usize];
-        self.sh
-            .metrics
-            .record_cpu(layer, lane, start.saturating_since(now), done.saturating_since(start));
+        let l = &mut self.sh.locals[self.li];
+        let ix = l.lanes.class_index(class);
+        let cost = if l.slowdown != 1.0 { cost.mul_f64(l.slowdown) } else { cost };
+        let (start, done) = l.lanes.execute_at(ix, now, cost);
+        let slot = l.cpu_slots[ix];
+        let (queue, service) = (start.saturating_since(now), done.saturating_since(start));
+        self.sh.metrics.record_cpu_at(slot, queue, service);
         let parent = self.sh.current_span;
         if parent.is_some() && self.sh.tracer.is_enabled() {
+            let lane = self.sh.locals[self.li].lanes.class_name(ix);
             self.sh.tracer.complete(lane, "cpu", parent, self.me.0, start, done);
         }
         done
     }
 
     /// Runs CPU work and delivers `payload` to this actor when it completes.
-    pub fn execute_then<P: Payload>(&mut self, class: &str, cost: SimDuration, payload: P) {
+    pub fn execute_then<P: Payload>(&mut self, class: &'static str, cost: SimDuration, payload: P) {
         let done = self.execute(class, cost);
         self.schedule_at(done, payload);
     }
@@ -1170,9 +1181,9 @@ impl Simulation {
                 latency,
                 jitter: 0.05,
                 inter_az_bandwidth: None,
-                blocked_az_links: HashSet::new(),
-                blocked_node_links: HashSet::new(),
-                isolated_nodes: HashSet::new(),
+                blocked_az_links: FxHashSet::default(),
+                blocked_node_links: FxHashSet::default(),
+                isolated_nodes: FxHashSet::default(),
                 link_faults: Vec::new(),
                 locations: Vec::new(),
                 layers: Vec::new(),
@@ -1287,8 +1298,11 @@ impl Simulation {
         let sh = &mut self.shards[shard_ix as usize];
         let li = sh.locals.len() as u32;
         self.g.home.push((shard_ix, li));
+        let lanes = Lanes::new(&spec.lanes);
+        let cpu_slots = cpu_slots(&mut sh.metrics, spec.layer, &lanes);
         sh.locals.push(NodeLocal {
-            lanes: Lanes::new(&spec.lanes),
+            lanes,
+            cpu_slots,
             disk: spec.disk,
             alive: true,
             self_epoch: 0,
@@ -1659,7 +1673,10 @@ impl Simulation {
                 let sh = &mut shards[s as usize];
                 let li = sh.locals.len() as u32;
                 self.g.home[n as usize] = (s, li);
-                sh.locals.push(locals[n as usize].take().expect("node assigned twice"));
+                let mut local = locals[n as usize].take().expect("node assigned twice");
+                let layer = self.g.layers[n as usize];
+                local.cpu_slots = cpu_slots(&mut sh.metrics, layer, &local.lanes);
+                sh.locals.push(local);
                 sh.actors.push(actors[n as usize].take());
             }
         }
@@ -1993,12 +2010,12 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if the node does not exist or the type does not match.
-    pub fn actor<T: Actor + 'static>(&self, node: NodeId) -> &T {
+    pub fn actor<T: Actor>(&self, node: NodeId) -> &T {
         let (s, li) = self.g.home[node.0 as usize];
-        self.shards[s as usize].actors[li as usize]
-            .as_ref()
-            .expect("actor is being dispatched")
-            .as_any()
+        let actor: &dyn Any = self.shards[s as usize].actors[li as usize]
+            .as_deref()
+            .expect("actor is being dispatched");
+        actor
             .downcast_ref::<T>()
             .unwrap_or_else(|| panic!("actor {node} is not a {}", std::any::type_name::<T>()))
     }
@@ -2008,18 +2025,14 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if the node does not exist or the type does not match.
-    pub fn actor_mut<T: Actor + 'static>(&mut self, node: NodeId) -> &mut T {
-        let name = std::any::type_name::<T>();
+    pub fn actor_mut<T: Actor>(&mut self, node: NodeId) -> &mut T {
         let (s, li) = self.g.home[node.0 as usize];
-        let slot = self.shards[s as usize].actors[li as usize]
-            .as_mut()
+        let actor: &mut dyn Any = self.shards[s as usize].actors[li as usize]
+            .as_deref_mut()
             .expect("actor is being dispatched");
-        // `as_any` only provides shared access; use it for the type check and
-        // then do the &mut downcast through Any on the Box contents.
-        assert!(slot.as_any().is::<T>(), "actor {node} is not a {name}");
-        let raw: *mut dyn Actor = slot.as_mut();
-        // SAFETY: type checked above; Actor requires 'static via Any.
-        unsafe { &mut *(raw as *mut T) }
+        actor
+            .downcast_mut::<T>()
+            .unwrap_or_else(|| panic!("actor {node} is not a {}", std::any::type_name::<T>()))
     }
 
     /// The node's human-readable name.

@@ -163,7 +163,7 @@ mod tests {
     fn zipf_sampling_is_skewed() {
         let ns = small();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = simnet::FxHashMap::default();
         for _ in 0..10_000 {
             *counts.entry(ns.sample_file(&mut rng).to_string()).or_insert(0u32) += 1;
         }
