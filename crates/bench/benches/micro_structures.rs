@@ -67,9 +67,6 @@ fn bench_event_loop(c: &mut Criterion) {
                 ctx.schedule(SimDuration::from_micros(1), Tick);
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
     c.bench_function("sim_10k_timer_events", |b| {
         b.iter(|| {
@@ -94,9 +91,6 @@ fn bench_event_loop(c: &mut Criterion) {
         }
         fn on_message(&mut self, _ctx: &mut Ctx<'_>, _f: NodeId, _m: Box<dyn Payload>) {
             self.n += 1;
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
     }
     c.bench_function("sim_10k_pending_timers", |b| {
@@ -135,9 +129,6 @@ fn bench_event_loop(c: &mut Criterion) {
                 self.i += 1;
                 ctx.send_sized(peer, 256, Ping);
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
     }
     fn run_multi_az_storm(shards: u32) -> u64 {

@@ -7,7 +7,6 @@
 
 use bench::report::print_table;
 use simnet::{Actor, Ctx, Location, NodeId, Payload, SimDuration, SimTime, Simulation};
-use std::any::Any;
 
 #[derive(Debug, Clone)]
 struct Ping {
@@ -57,10 +56,6 @@ impl Actor for Prober {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// An actor that only answers pings.
@@ -70,9 +65,6 @@ impl Actor for Responder {
         if let Ok(p) = msg.into_any().downcast::<Ping>() {
             ctx.send_sized(from, 64, Pong { seq: p.seq });
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

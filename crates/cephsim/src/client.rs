@@ -13,7 +13,6 @@ use hopsfs::client::{ClientStats, OpSource};
 use hopsfs::types::{FsError, FsOk, FsResult};
 use hopsfs::{FsOp, OpKind};
 use simnet::{Actor, Ctx, FxHashMap, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -291,9 +290,5 @@ impl Actor for CephClientActor {
             }
             Err(m) => debug_assert!(false, "ceph client got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

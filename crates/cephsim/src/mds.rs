@@ -13,7 +13,6 @@ use crate::osd::{OsdWrite, OsdWriteAck};
 use hopsfs::types::{FsError, FsOk, FsResult};
 use hopsfs::{FsOp, OpKind};
 use simnet::{Actor, Ctx, FxHashMap, NodeId, Payload, SimDuration};
-use std::any::Any;
 use std::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -317,9 +316,5 @@ impl Actor for MdsActor {
             Ok(_) => self.report_load(ctx),
             Err(m) => debug_assert!(false, "mds got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

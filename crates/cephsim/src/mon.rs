@@ -5,7 +5,6 @@ use crate::config::BalanceMode;
 use crate::mds::{MdsLoad, SubtreeMigrate};
 use crate::namespace::SubtreeMap;
 use simnet::{Actor, Ctx, NodeId, Payload, SimDuration};
-use std::any::Any;
 use std::sync::Mutex;
 use std::sync::Arc;
 
@@ -136,9 +135,5 @@ impl Actor for MonActor {
             }
             Err(m) => debug_assert!(false, "mon got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

@@ -5,7 +5,6 @@
 //! AZs before it is acknowledged.
 
 use simnet::{Actor, Ctx, DiskOp, NodeId, Payload, SimDuration};
-use std::any::Any;
 
 /// Lane-class name of the OSD worker pool.
 pub const OSD_LANE: &str = "osd";
@@ -114,9 +113,5 @@ impl Actor for OsdActor {
             }
             Err(m) => debug_assert!(false, "osd got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

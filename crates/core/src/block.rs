@@ -8,7 +8,6 @@
 use crate::namenode::BlockDnHeartbeat;
 use crate::view::FsView;
 use simnet::{Actor, Ctx, DiskOp, FxHashMap, NodeId, Payload, SimDuration};
-use std::any::Any;
 use std::sync::Arc;
 
 /// Lane-class name for the datanode I/O pool.
@@ -192,9 +191,5 @@ impl Actor for BlockDnActor {
             }
             Err(m) => debug_assert!(false, "block dn got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

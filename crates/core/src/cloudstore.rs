@@ -21,7 +21,6 @@
 //! is the provider's problem.
 
 use simnet::{Actor, Ctx, FxHashMap, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::sync::Mutex;
 use std::sync::Arc;
 
@@ -179,10 +178,6 @@ impl Actor for CloudStoreActor {
             Err(m) => debug_assert!(false, "cloud store got unknown message {m:?}"),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -233,9 +228,6 @@ mod tests {
                 }
                 self.last_at = ctx.now();
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 

@@ -32,7 +32,6 @@
 
 use crate::view::FsView;
 use simnet::{Actor, Ctx, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -352,9 +351,5 @@ impl Actor for ElasticController {
             Ok(_) => self.on_tick(ctx),
             Err(m) => debug_assert!(false, "elastic controller got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

@@ -43,7 +43,6 @@ use bytes::Bytes;
 use ndb::messages::ReadSpec;
 use ndb::{AbortReason, ClientKernel, LockMode, PartitionKey, RowKey, TxEvent, TxId, WriteOp};
 use simnet::{Actor, Admission, Ctx, FxHashMap, Gate, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -3576,9 +3575,5 @@ impl Actor for NameNodeActor {
             Ok(_) => self.on_tick_sweep(ctx),
             Err(m) => debug_assert!(false, "namenode got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

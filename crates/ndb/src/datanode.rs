@@ -25,7 +25,6 @@ use crate::routing::route_read;
 use crate::view::ClusterView;
 use bytes::Bytes;
 use simnet::{Actor, Ctx, DiskOp, FxHashMap, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -2237,9 +2236,5 @@ impl Actor for DatanodeActor {
             Ok(_) => self.on_arb_shutdown(ctx),
             Err(m) => debug_assert!(false, "datanode got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

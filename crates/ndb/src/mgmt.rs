@@ -19,7 +19,6 @@ use crate::messages::{
     MgmtHeartbeat, MigrationDone, ReconfigReq,
 };
 use simnet::{Actor, Ctx, FxHashSet, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
@@ -350,9 +349,5 @@ impl Actor for MgmtActor {
             Ok(_) => self.on_tick(ctx),
             Err(m) => debug_assert!(false, "mgmt got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }

@@ -7,7 +7,6 @@ use crate::schema::{PartitionKey, Row, TableId};
 use crate::view::ClusterView;
 use bytes::Bytes;
 use simnet::{Actor, AzId, Ctx, Location, NodeId, Payload, SimDuration, SimTime};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -271,10 +270,6 @@ impl Actor for ScriptClient {
             }
             Err(m) => debug_assert!(false, "script client got unknown message {m:?}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -485,8 +485,5 @@ mod tests {
             _msg: Box<dyn crate::sim::Payload>,
         ) {
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
     }
 }

@@ -43,7 +43,6 @@
 //!             ctx.send(from, Pong);
 //!         }
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
 //! }
 //!
 //! struct Caller { server: NodeId, pub got_pong: bool }
@@ -54,7 +53,6 @@
 //!     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, msg: Box<dyn Payload>) {
 //!         if msg.is::<Pong>() { self.got_pong = true; }
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
 //! }
 //!
 //! let mut sim = Simulation::new(42);
@@ -166,8 +164,14 @@ pub trait Actor: Any + Send {
     /// self-scheduled messages it is the actor itself.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Box<dyn Payload>);
 
-    /// Upcast to `Any`, for callers that hold a `&dyn Actor`.
-    fn as_any(&self) -> &dyn Any;
+    /// Upcast to `Any`. Nothing needs to implement it: `Any` is a
+    /// supertrait, so a `&dyn Actor` upcasts to `&dyn Any` directly.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
 /// Static description of a simulated process.
@@ -2288,9 +2292,6 @@ mod tests {
             let t = downcast::<Tick>(msg).unwrap();
             self.seen.push((t.0, ctx.now()));
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -2321,9 +2322,6 @@ mod tests {
             self.got += 1;
             self.last_at = ctx.now();
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     struct Sender {
@@ -2334,9 +2332,6 @@ mod tests {
             ctx.send(self.to, Hello);
         }
         fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Box<dyn Payload>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     fn one_hop(src_az: u8, dst_az: u8) -> (Simulation, NodeId) {
@@ -2456,9 +2451,6 @@ mod tests {
             self.restarts += 1;
         }
         fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Box<dyn Payload>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -2589,9 +2581,6 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<'_>, _: NodeId, _: Box<dyn Payload>) {
             self.done_at = ctx.now();
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     #[test]
@@ -2624,9 +2613,6 @@ mod tests {
             }
         }
         fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Box<dyn Payload>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
     }
 
     fn spam(seed: u64, fault: LinkFault, n: u32) -> (u32, u64, u64) {
@@ -2709,9 +2695,6 @@ mod tests {
                 self.got += 1;
                 self.last_at = ctx.now();
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
         }
     }
 

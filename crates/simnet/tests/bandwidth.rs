@@ -3,7 +3,6 @@
 //! unaffected.
 
 use simnet::{Actor, Ctx, Location, NodeId, NodeSpec, Payload, SimTime, Simulation};
-use std::any::Any;
 
 #[derive(Debug, Clone)]
 struct Blob(u32);
@@ -16,9 +15,6 @@ impl Actor for Rx {
         if let Ok(b) = msg.into_any().downcast::<Blob>() {
             self.arrivals.push((b.0, ctx.now()));
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -34,9 +30,6 @@ impl Actor for Tx {
         }
     }
     fn on_message(&mut self, _: &mut Ctx<'_>, _: NodeId, _: Box<dyn Payload>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 fn run(cross_az: bool, bandwidth: Option<u64>, n: u32, bytes: u64) -> Vec<(u32, SimTime)> {

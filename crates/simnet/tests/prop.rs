@@ -5,7 +5,6 @@ use simnet::{
     Actor, Ctx, Histogram, LaneClassSpec, Lanes, Location, NodeId, NodeSpec, Payload, SimDuration,
     SimTime, Simulation,
 };
-use std::any::Any;
 
 #[derive(Debug, Clone)]
 struct Stamp(u64);
@@ -24,9 +23,6 @@ impl Actor for Firer {
         let _ = ctx;
     }
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, _from: NodeId, _msg: Box<dyn Payload>) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 #[derive(Debug, Clone)]
 struct StampAt(u64, u64);
@@ -325,9 +321,6 @@ impl Actor for RecordingRelay {
             self.seen.push((s.0, ctx.now()));
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 // ---- sharded-kernel differential battery ----
@@ -373,9 +366,6 @@ impl Actor for StormActor {
             self.state = self.state.wrapping_mul(31).wrapping_add(m.0 ^ u64::from(from.0));
             ctx.metrics().record_hist("storm", "recv_bytes", self.bytes);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -4,7 +4,6 @@ use simnet::{
     Actor, Ctx, LaneClassSpec, Location, NodeId, NodeSpec, Payload, SimDuration, SimTime,
     Simulation, SpanId,
 };
-use std::any::Any;
 
 #[derive(Debug, Clone)]
 struct Req;
@@ -19,9 +18,6 @@ impl Actor for Server {
             let done = ctx.execute("srv", SimDuration::from_micros(500));
             ctx.send_sized_from(done, from, 256, Resp);
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -43,9 +39,6 @@ impl Actor for Client {
             self.done_at = ctx.now();
             self.responses += 1;
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
