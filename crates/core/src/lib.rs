@@ -38,6 +38,7 @@ pub mod openloop;
 pub mod ops;
 pub mod path;
 pub mod placement;
+mod session;
 pub mod testkit;
 pub mod types;
 pub mod view;
