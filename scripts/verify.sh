@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== benchmark build (perfbench, a separate package on the public crate APIs) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1 tests =="
 cargo test -q --workspace
 
