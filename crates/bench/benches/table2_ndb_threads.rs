@@ -4,15 +4,15 @@
 #![allow(clippy::field_reassign_with_default, clippy::type_complexity)]
 
 use bench::report::print_table;
-use ndb::{ClusterConfig, Schema};
+use ndb::{ClusterConfig, Schema, ThreadConfig};
 use simnet::{AzId, Simulation};
 
 fn main() {
     let cfg = ClusterConfig::az_aware(12, 3, &[AzId(0), AzId(1), AzId(2)]);
     let t = &cfg.threads;
     let paper = [("LDM", 12usize), ("TC", 7), ("RECV", 3), ("SEND", 2), ("REP", 1), ("IO", 1), ("MAIN", 1)];
-    let ours =
-        [("LDM", t.ldm), ("TC", t.tc), ("RECV", t.recv), ("SEND", t.send), ("REP", t.rep), ("IO", t.io), ("MAIN", t.main)];
+    let one = ThreadConfig::SINGLE_CLASS_THREADS;
+    let ours = [("LDM", t.ldm), ("TC", t.tc), ("RECV", t.recv), ("SEND", t.send), ("REP", one), ("IO", one), ("MAIN", one)];
 
     // Deploy and read the lanes back off a real datanode.
     let mut sim = Simulation::new(1);

@@ -17,6 +17,9 @@ use std::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Kernel-cache capacity per client (inodes with caps).
+const CACHE_ENTRIES: usize = 1024;
+
 #[derive(Debug, Clone)]
 struct TickClient;
 #[derive(Debug, Clone)]
@@ -211,7 +214,7 @@ impl CephClientActor {
             self.invalidate_for(&p.op);
         } else if cap && !self.skip_kcache {
             if let (Some(key), Ok(ok)) = (Self::cache_key(&p.op), &result) {
-                while self.cache.len() >= self.costs.client_cache_entries {
+                while self.cache.len() >= CACHE_ENTRIES {
                     match self.cache_order.pop_front() {
                         Some(old) => {
                             self.cache.remove(&old);

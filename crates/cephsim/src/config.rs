@@ -14,20 +14,15 @@ pub enum BalanceMode {
     DirPinned,
 }
 
-/// Calibration knobs for the CephFS model.
+/// Calibration knobs for the CephFS model that [`CephConfig::scaled_down`]
+/// scales. The fixed calibration values are constants next to the code that
+/// charges them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CephCosts {
     /// MDS CPU per request. The MDS is single-threaded (its global lock), so
     /// `1 / mds_op` bounds per-MDS request throughput — calibrated to the
     /// ~4.2 K req/s the paper measures for one unloaded MDS (Figure 6).
     pub mds_op: SimDuration,
-    /// Multiplier on MDS work when the kernel cache is skipped: every
-    /// operation then carries capability acquisition/release and tracking.
-    pub skip_kcache_factor: u64,
-    /// Journal bytes appended per mutating operation (dirfrag + event).
-    pub journal_bytes_per_mutation: u64,
-    /// Journal flush period.
-    pub journal_flush_interval: SimDuration,
     /// Outstanding (unacked) journal bytes at which an MDS stalls mutations
     /// — this is what couples MDS throughput to OSD disk bandwidth and
     /// produces the DirPinned decline past 24 MDSs (Figures 5, 12d).
@@ -37,27 +32,15 @@ pub struct CephCosts {
     pub osd_disk_bandwidth: u64,
     /// Client-side cost of a kernel-cache hit (VFS + cap check).
     pub cache_hit_cost: SimDuration,
-    /// Kernel-cache capacity per client (inodes with caps).
-    pub client_cache_entries: usize,
-    /// Dynamic balancer period.
-    pub balance_interval: SimDuration,
-    /// MDS pause charged per migrated subtree (export/import).
-    pub migration_cost: SimDuration,
 }
 
 impl Default for CephCosts {
     fn default() -> Self {
         CephCosts {
             mds_op: SimDuration::from_micros(236),
-            skip_kcache_factor: 9,
-            journal_bytes_per_mutation: 8 * 1024,
-            journal_flush_interval: SimDuration::from_millis(50),
             journal_stall_bytes: 4 << 20,
             osd_disk_bandwidth: 120_000_000,
             cache_hit_cost: SimDuration::from_micros(35),
-            client_cache_entries: 1024,
-            balance_interval: SimDuration::from_millis(250),
-            migration_cost: SimDuration::from_millis(4),
         }
     }
 }

@@ -47,12 +47,7 @@ pub fn build_ceph_cluster(sim: &mut Simulation, config: CephConfig) -> CephClust
 
     let got = sim.add_node(
         NodeSpec::new("ceph-mon", mon_loc).with_layer("ceph-mon"),
-        Box::new(MonActor::new(
-            Arc::clone(&map),
-            mds_ids.clone(),
-            config.mode,
-            config.costs.balance_interval,
-        )),
+        Box::new(MonActor::new(Arc::clone(&map), mds_ids.clone(), config.mode)),
     );
     assert_eq!(got, mon_id, "node id prediction drifted");
 

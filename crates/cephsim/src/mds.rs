@@ -20,6 +20,16 @@ use std::sync::Arc;
 /// Lane-class name of the single MDS request thread.
 pub const MDS_LANE: &str = "mds";
 
+/// Multiplier on MDS work when the kernel cache is skipped: every operation
+/// then carries capability acquisition/release and tracking.
+const SKIP_KCACHE_FACTOR: u64 = 9;
+/// Journal bytes appended per mutating operation (dirfrag + event).
+pub const JOURNAL_BYTES_PER_MUTATION: u64 = 8 * 1024;
+/// Journal flush period.
+const JOURNAL_FLUSH_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// MDS pause charged per migrated subtree (export/import).
+const MIGRATION_COST: SimDuration = SimDuration::from_millis(4);
+
 #[derive(Debug, Clone)]
 struct TickJournal;
 #[derive(Debug, Clone)]
@@ -216,7 +226,7 @@ impl MdsActor {
         if self.skip_kcache {
             // Per-op capability acquire/track/release without a cache to
             // amortize it over (§V-A setup 3).
-            cost = cost * self.costs.skip_kcache_factor;
+            cost = cost * SKIP_KCACHE_FACTOR;
         }
         if kind == OpKind::List {
             cost += SimDuration::from_nanos(500) * 16;
@@ -228,7 +238,7 @@ impl MdsActor {
         *self.stats.by_kind.entry(kind).or_insert(0) += 1;
         *self.dir_heat.entry(Self::heat_prefix(&req.op.path().to_string())).or_insert(0) += 1;
         if kind.is_mutation() && result.is_ok() {
-            self.journal_pending += self.costs.journal_bytes_per_mutation;
+            self.journal_pending += JOURNAL_BYTES_PER_MUTATION;
         }
         let cap = !self.skip_kcache && result.is_ok();
         let bytes = 128 + if kind == OpKind::List { 512 } else { 0 };
@@ -246,7 +256,7 @@ impl MdsActor {
             self.next_osd += 1;
             ctx.send_sized(osd, bytes, OsdWrite { bytes });
         }
-        ctx.schedule(self.costs.journal_flush_interval, TickJournal);
+        ctx.schedule(JOURNAL_FLUSH_INTERVAL, TickJournal);
     }
 
     fn on_osd_ack(&mut self, ctx: &mut Ctx<'_>, ack: OsdWriteAck) {
@@ -286,7 +296,7 @@ impl MdsActor {
 
 impl Actor for MdsActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.schedule(self.costs.journal_flush_interval, TickJournal);
+        ctx.schedule(JOURNAL_FLUSH_INTERVAL, TickJournal);
         ctx.schedule(SimDuration::from_secs(1), TickReport);
     }
 
@@ -303,7 +313,7 @@ impl Actor for MdsActor {
         let any = match any.downcast::<SubtreeMigrate>() {
             Ok(_) => {
                 self.stats.migrations += 1;
-                ctx.execute(MDS_LANE, self.costs.migration_cost);
+                ctx.execute(MDS_LANE, MIGRATION_COST);
                 return;
             }
             Err(m) => m,

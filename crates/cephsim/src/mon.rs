@@ -8,6 +8,9 @@ use simnet::{Actor, Ctx, NodeId, Payload, SimDuration};
 use std::sync::Mutex;
 use std::sync::Arc;
 
+/// Dynamic balancer period.
+const BALANCE_INTERVAL: SimDuration = SimDuration::from_millis(250);
+
 #[derive(Debug, Clone)]
 struct TickBalance;
 
@@ -16,7 +19,6 @@ pub struct MonActor {
     map: Arc<Mutex<SubtreeMap>>,
     mds_ids: Vec<NodeId>,
     mode: BalanceMode,
-    interval: SimDuration,
     /// Last reported request rate per MDS.
     loads: Vec<u64>,
     /// Last reported hot dirs per MDS.
@@ -27,14 +29,9 @@ pub struct MonActor {
 
 impl MonActor {
     /// Creates the monitor.
-    pub fn new(
-        map: Arc<Mutex<SubtreeMap>>,
-        mds_ids: Vec<NodeId>,
-        mode: BalanceMode,
-        interval: SimDuration,
-    ) -> Self {
+    pub fn new(map: Arc<Mutex<SubtreeMap>>, mds_ids: Vec<NodeId>, mode: BalanceMode) -> Self {
         let n = mds_ids.len();
-        MonActor { map, mds_ids, mode, interval, loads: vec![0; n], hot: vec![Vec::new(); n], migrations: 0 }
+        MonActor { map, mds_ids, mode, loads: vec![0; n], hot: vec![Vec::new(); n], migrations: 0 }
     }
 
     fn rebalance(&mut self, ctx: &mut Ctx<'_>) {
@@ -113,7 +110,7 @@ impl MonActor {
 
 impl Actor for MonActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.schedule(self.interval, TickBalance);
+        ctx.schedule(BALANCE_INTERVAL, TickBalance);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Box<dyn Payload>) {
@@ -131,7 +128,7 @@ impl Actor for MonActor {
         match any.downcast::<TickBalance>() {
             Ok(_) => {
                 self.rebalance(ctx);
-                ctx.schedule(self.interval, TickBalance);
+                ctx.schedule(BALANCE_INTERVAL, TickBalance);
             }
             Err(m) => debug_assert!(false, "mon got unknown message {m:?}"),
         }

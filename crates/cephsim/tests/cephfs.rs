@@ -125,7 +125,7 @@ fn journal_reaches_osds_with_replication() {
     assert!(run_clients_until_done(&mut sim, &[client], SimTime::from_secs(30)));
     sim.run_for(SimDuration::from_secs(1)); // let journal flush
     // MDS journaled the mutations.
-    let per_mutation = cluster.config.costs.journal_bytes_per_mutation;
+    let per_mutation = cephsim::mds::JOURNAL_BYTES_PER_MUTATION;
     let journal: u64 = cluster
         .mds_ids
         .iter()

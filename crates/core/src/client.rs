@@ -24,6 +24,16 @@ use simnet::{Actor, AzId, Ctx, FxHashMap, Histogram, NodeId, Payload, SimDuratio
 use std::sync::Arc;
 use std::sync::Mutex;
 
+/// Lease-cache capacity (entries); oldest-expiry entries are evicted first
+/// when full.
+const LEASE_CACHE_ENTRIES: usize = 4096;
+/// How close to expiry a leased entry must be before the background refresh
+/// considers renewing it.
+const LEASE_REFRESH_MARGIN: SimDuration = SimDuration::from_secs(2);
+/// Slack past the lease TTL for which an invalidation tombstone is kept
+/// (covers detection and delivery skew).
+const LEASE_REVOKE_MARGIN: SimDuration = SimDuration::from_millis(200);
+
 /// Supplies operations to a client session (closed loop: the next op is
 /// requested when the previous one completes).
 pub trait OpSource: Send {
@@ -216,7 +226,7 @@ impl FsClientActor {
         source: Box<dyn OpSource>,
         stats: Arc<Mutex<ClientStats>>,
     ) -> Self {
-        let cache = LeaseCache::new(view.config.lease.max_entries);
+        let cache = LeaseCache::new(LEASE_CACHE_ENTRIES);
         FsClientActor {
             view,
             domain,
@@ -433,8 +443,8 @@ impl FsClientActor {
         if !lcfg.enabled || self.cache.is_empty() {
             return;
         }
-        self.cache.sweep(now, lcfg.ttl + lcfg.revoke_margin);
-        let cands = self.cache.renewal_candidates(now, lcfg.refresh_margin, 64);
+        self.cache.sweep(now, lcfg.ttl + LEASE_REVOKE_MARGIN);
+        let cands = self.cache.renewal_candidates(now, LEASE_REFRESH_MARGIN, 64);
         if cands.is_empty() {
             return;
         }

@@ -1,7 +1,7 @@
-//! File-system deployment configuration and namenode cost calibration.
+//! File-system deployment configuration.
 
 use ndb::ClusterConfig;
-use simnet::{AzId, RetryPolicy, SimDuration};
+use simnet::{AzId, SimDuration};
 
 /// Where large-file blocks live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,47 +24,6 @@ pub enum PlacementPolicy {
     /// approach): first replica local to the writer, second on a different
     /// AZ, third on the same AZ as the second but a different node.
     RackAwareAzAsRack,
-    /// Strict AZ spread: one replica per AZ while AZs remain.
-    AzSpread,
-}
-
-/// Namenode CPU calibration. One op costs
-/// `op_base + per_component * depth + op_finish` on the worker pool, which
-/// together with the pool size bounds per-NN throughput (§V-D2 shows NNs use
-/// all their CPUs thanks to granular locking).
-#[derive(Debug, Clone, PartialEq)]
-pub struct NnCostModel {
-    /// Worker threads per namenode (the paper's VMs had 32 vCPUs).
-    pub worker_threads: usize,
-    /// Fixed cost on receiving an operation (parse, plan, lock phase).
-    pub op_base: SimDuration,
-    /// Cost per resolved path component.
-    pub per_component: SimDuration,
-    /// Fixed cost to finalize and serialize the response.
-    pub op_finish: SimDuration,
-    /// Extra cost per directory-listing entry returned.
-    pub per_list_entry: SimDuration,
-}
-
-impl Default for NnCostModel {
-    fn default() -> Self {
-        NnCostModel {
-            worker_threads: 32,
-            op_base: SimDuration::from_micros(780),
-            per_component: SimDuration::from_micros(35),
-            op_finish: SimDuration::from_micros(330),
-            per_list_entry: SimDuration::from_nanos(2_500),
-        }
-    }
-}
-
-impl NnCostModel {
-    /// Proportionally shrunk worker pool for scaled-down simulations.
-    pub fn scaled_down(&self, factor: usize) -> Self {
-        let mut c = self.clone();
-        c.worker_threads = (c.worker_threads / factor.max(1)).max(1);
-        c
-    }
 }
 
 /// Full HopsFS / HopsFS-CL deployment description.
@@ -81,12 +40,6 @@ pub struct FsConfig {
     /// `locationDomainId`s, every table is Read Backup enabled, clients
     /// prefer AZ-local namenodes, and block placement spreads across AZs.
     pub az_aware: bool,
-    /// Block replication factor (default 3).
-    pub block_replication: u8,
-    /// Small-file threshold: files strictly smaller stay inline in NDB.
-    pub small_file_max: u64,
-    /// Block size for large files.
-    pub block_size: u64,
     /// Block placement policy (datanode backend only).
     pub placement: PlacementPolicy,
     /// Where large-file blocks are stored.
@@ -100,19 +53,11 @@ pub struct FsConfig {
     /// (FAST'17), so this defaults to off; turning it on trades a hot root
     /// partition for rename-vs-resolve linearizability.
     pub validate_ancestors: bool,
-    /// Namenode CPU calibration.
-    pub nn_costs: NnCostModel,
+    /// Worker threads per namenode (the paper's VMs had 32 vCPUs); the
+    /// namenode's CPU costs per op are constants of [`crate::namenode`].
+    pub nn_worker_threads: usize,
     /// Leader-election round period (paper: 2 s).
     pub election_period: SimDuration,
-    /// Election rounds a namenode may miss before being considered dead.
-    pub election_misses: u32,
-    /// Max op attempts before responding `Busy` (retry with backoff provides
-    /// backpressure to NDB, §II-B2).
-    pub max_op_attempts: u32,
-    /// Backoff policy for namenode-side op retries after NDB aborts
-    /// (deadlocks, transient node failures). The budget comes from
-    /// [`FsConfig::max_op_attempts`], not from the policy.
-    pub op_retry: RetryPolicy,
     /// How long since the last heartbeat a block datanode is still counted
     /// alive when choosing replica placements and re-replication targets.
     pub dn_heartbeat_window: SimDuration,
@@ -155,19 +100,12 @@ pub struct ElasticConfig {
     pub min_active: usize,
     /// Cold-start cost: a parked namenode takes this long from `NnActivate`
     /// to serving its first request (process launch, NDB session setup).
+    /// Its first ops then pay a fixed cache-warm penalty.
     pub boot_delay: SimDuration,
-    /// Cache-warm penalty: the first `warm_ops` admitted operations on a
-    /// freshly activated namenode pay `warm_cost_pct` extra base cost (its
-    /// inode-hint cache is empty, so early ops walk more of the path).
-    pub warm_ops: u64,
-    /// Extra base-cost percentage while warming (150 = 2.5× `op_base`).
-    pub warm_cost_pct: u32,
     /// Pool-mean composite signal above which one namenode is activated.
     pub scale_up_threshold: SimDuration,
     /// Pool-mean composite signal below which one namenode is drained.
     pub scale_down_threshold: SimDuration,
-    /// Controller evaluation period.
-    pub eval_period: SimDuration,
     /// Minimum gap between scaling actions (hysteresis).
     pub cooldown: SimDuration,
     /// How long the controller waits for `NnDrainDone` before force-parking
@@ -189,11 +127,8 @@ impl Default for ElasticConfig {
             initial_active: 1,
             min_active: 1,
             boot_delay: SimDuration::from_secs(2),
-            warm_ops: 2_000,
-            warm_cost_pct: 150,
             scale_up_threshold: SimDuration::from_millis(60),
             scale_down_threshold: SimDuration::from_millis(5),
-            eval_period: SimDuration::from_millis(500),
             cooldown: SimDuration::from_secs(4),
             drain_timeout: SimDuration::from_secs(3),
             drain_grace: SimDuration::from_millis(200),
@@ -216,15 +151,6 @@ pub struct LeaseConfig {
     pub enabled: bool,
     /// Lease duration from grant (and from each successful renewal).
     pub ttl: SimDuration,
-    /// How close to expiry an entry must be before the background refresh
-    /// tick considers renewing it.
-    pub refresh_margin: SimDuration,
-    /// Client cache capacity (entries). Oldest-expiry entries are evicted
-    /// first when full.
-    pub max_entries: usize,
-    /// Extra slack added to `ttl` when a revoke round waits out unreachable
-    /// holders or namenodes (covers detection and delivery skew).
-    pub revoke_margin: SimDuration,
 }
 
 impl Default for LeaseConfig {
@@ -232,16 +158,13 @@ impl Default for LeaseConfig {
         LeaseConfig {
             enabled: false,
             ttl: SimDuration::from_secs(10),
-            refresh_margin: SimDuration::from_secs(2),
-            max_entries: 4096,
-            revoke_margin: SimDuration::from_millis(200),
         }
     }
 }
 
 /// Namenode admission-control knobs (the cross-layer overload-control
 /// subsystem). One [`simnet::Gate`] per priority class; the load signal is
-/// the worker-lane queue delay plus a weighted share of the latest NDB
+/// the worker-lane queue delay plus a fixed share of the latest NDB
 /// TC-queue-delay hint piggybacked on transaction replies.
 ///
 /// Priority classes, highest to lowest:
@@ -255,9 +178,7 @@ impl Default for LeaseConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// Master switch. When off, every request is admitted unconditionally
-    /// (the pre-overload-control behavior) — but `sto_busy_retry_after`
-    /// still applies, since honoring the server's contention hint is a
-    /// correctness-of-backoff fix, not an overload policy.
+    /// (the pre-overload-control behavior).
     pub enabled: bool,
     /// Queue-delay threshold above which interactive ops shed.
     pub interactive_threshold: SimDuration,
@@ -265,21 +186,6 @@ pub struct AdmissionConfig {
     pub batch_threshold: SimDuration,
     /// Queue-delay threshold above which re-replication pumping pauses.
     pub maintenance_threshold: SimDuration,
-    /// Trickle rate per class: requests/second still admitted above the
-    /// threshold, so the gate keeps probing for recovery instead of
-    /// flat-lining (see [`simnet::Gate`]).
-    pub trickle_per_sec: u64,
-    /// Floor on the `retry_after` hint returned with a shed.
-    pub retry_floor: SimDuration,
-    /// Weight applied to the NDB TC-queue-delay hint when folding it into
-    /// the namenode's own load signal, in percent (100 = count NDB backlog
-    /// at par with local worker backlog).
-    pub ndb_signal_pct: u32,
-    /// Retry-after hint attached when the STO lock manager rejects an op
-    /// with `Busy` (`sto_locked` paths). Routed through
-    /// [`RetryPolicy::delay_after_hint`] so colliding ops spread out behind
-    /// the lock holder instead of hammering the generic 4–32 ms curve.
-    pub sto_busy_retry_after: SimDuration,
 }
 
 impl Default for AdmissionConfig {
@@ -289,10 +195,6 @@ impl Default for AdmissionConfig {
             interactive_threshold: SimDuration::from_millis(200),
             batch_threshold: SimDuration::from_millis(50),
             maintenance_threshold: SimDuration::from_millis(20),
-            trickle_per_sec: 4,
-            retry_floor: SimDuration::from_millis(100),
-            ndb_signal_pct: 50,
-            sto_busy_retry_after: SimDuration::from_millis(12),
         }
     }
 }
@@ -322,19 +224,12 @@ impl FsConfig {
             azs,
             nn_count,
             az_aware: false,
-            block_replication: 3,
-            small_file_max: 128 * 1024,
-            block_size: 128 << 20,
             placement: PlacementPolicy::Random,
             block_backend: BlockBackend::Datanodes,
             read_backup_override: None,
             validate_ancestors: false,
-            nn_costs: NnCostModel::default(),
+            nn_worker_threads: 32,
             election_period: SimDuration::from_secs(2),
-            election_misses: 2,
-            max_op_attempts: 8,
-            op_retry: RetryPolicy::new(SimDuration::from_millis(4), SimDuration::from_millis(32))
-                .with_jitter(0.0),
             dn_heartbeat_window: SimDuration::from_millis(1500),
             subtree_batch_size: 256,
             admission: AdmissionConfig::default(),
@@ -359,7 +254,7 @@ impl FsConfig {
     /// back up by the same factor.
     pub fn scaled_down(mut self, factor: usize) -> Self {
         self.ndb.threads = self.ndb.threads.scaled_down(factor);
-        self.nn_costs = self.nn_costs.scaled_down(factor);
+        self.nn_worker_threads = (self.nn_worker_threads / factor.max(1)).max(1);
         self
     }
 }
@@ -386,7 +281,7 @@ mod tests {
     #[test]
     fn scaling_shrinks_pools() {
         let c = FsConfig::hopsfs(12, 2, 1, 4).scaled_down(4);
-        assert_eq!(c.nn_costs.worker_threads, 8);
+        assert_eq!(c.nn_worker_threads, 8);
         assert_eq!(c.ndb.threads.ldm, 3);
     }
 

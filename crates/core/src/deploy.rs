@@ -7,7 +7,7 @@ use crate::client::{ClientStats, FsClientActor, OpSource};
 use crate::cloudstore::{CloudStoreActor, CloudStoreState};
 use crate::config::{BlockBackend, FsConfig};
 use crate::meta::{encode_sequence, FsSchema, InodeRecord};
-use crate::namenode::{NameNodeActor, NN_WORKER};
+use crate::namenode::{NameNodeActor, BLOCK_REPLICATION, NN_WORKER, SMALL_FILE_MAX};
 use crate::types::InodeId;
 use crate::view::FsView;
 use ndb::{NdbCluster, Schema};
@@ -47,7 +47,7 @@ pub fn build_fs_cluster(sim: &mut Simulation, cfg: FsConfig, dn_count: usize) ->
     let mut nn_ids = Vec::with_capacity(cfg.nn_count);
     let mut nn_locations = Vec::with_capacity(cfg.nn_count);
     let mut nn_domains = Vec::with_capacity(cfg.nn_count);
-    let nn_lanes = vec![LaneClassSpec::new(NN_WORKER, cfg.nn_costs.worker_threads)];
+    let nn_lanes = vec![LaneClassSpec::new(NN_WORKER, cfg.nn_worker_threads)];
 
     // Pre-compute ids so the FsView can be built before the actors.
     let base = sim.node_count() as u32;
@@ -204,9 +204,9 @@ impl FsCluster {
         let parent_path = p.parent().expect("file cannot be root").to_string();
         let parent = self.bulk_mkdir_p(sim, &parent_path);
         let id = self.alloc_bulk_id();
-        let mut rec = InodeRecord::file(InodeId(id), 0, self.view.config.block_replication);
+        let mut rec = InodeRecord::file(InodeId(id), 0, BLOCK_REPLICATION);
         rec.size = size;
-        if size > 0 && size < self.view.config.small_file_max {
+        if size > 0 && size < SMALL_FILE_MAX {
             rec.inline_len = size as u32;
             self.ndb.load_row(
                 sim,

@@ -25,8 +25,8 @@
 //!   of the membership, so clients have moved on.
 //!
 //! The activation cold-start is modeled explicitly: `boot_delay` before the
-//! namenode serves at all, then `warm_ops` operations at `warm_cost_pct`
-//! extra base cost while its inode-hint cache refills. The `fig_elastic`
+//! namenode serves at all, then a fixed number of operations at extra base
+//! cost while its inode-hint cache refills (constants of the namenode). The `fig_elastic`
 //! bench checks the resulting trade: near-static goodput at a fraction of
 //! the static pool's provisioned namenode-hours.
 
@@ -34,6 +34,9 @@ use crate::view::FsView;
 use simnet::{Actor, Ctx, NodeId, Payload, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Controller evaluation period.
+const EVAL_PERIOD: SimDuration = SimDuration::from_millis(500);
 
 /// Controller evaluation tick.
 #[derive(Debug, Clone, Copy)]
@@ -201,7 +204,7 @@ impl ElasticController {
     /// signal: a gate that is already turning work away votes to scale up
     /// regardless of the latency mean.
     fn fresh_load(&self, now: SimTime) -> Option<(SimDuration, u64)> {
-        let horizon = self.view.config.elastic.eval_period * 2;
+        let horizon = EVAL_PERIOD * 2;
         let fresh: Vec<(u64, u64)> = self
             .state
             .iter()
@@ -295,7 +298,7 @@ impl ElasticController {
                 ctx.send_sized(self.view.nn_ids[i], 32, NnDrain);
             }
         }
-        ctx.schedule(cfg.eval_period, TickElastic);
+        ctx.schedule(EVAL_PERIOD, TickElastic);
     }
 
     fn on_serving(&mut self, ctx: &mut Ctx<'_>, m: NnServing) {
@@ -326,7 +329,7 @@ impl Actor for ElasticController {
         // Seed the initial membership so namenodes and clients agree on
         // epoch 1 from the first response.
         self.broadcast_membership(ctx);
-        ctx.schedule(self.view.config.elastic.eval_period, TickElastic);
+        ctx.schedule(EVAL_PERIOD, TickElastic);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, msg: Box<dyn Payload>) {

@@ -49,8 +49,7 @@ pub use chaos::{
 };
 pub use client::{ClientStats, FsClientActor, OpSource, ScriptedSource};
 pub use config::{
-    AdmissionConfig, BlockBackend, ElasticConfig, FsConfig, LeaseConfig, NnCostModel,
-    PlacementPolicy,
+    AdmissionConfig, BlockBackend, ElasticConfig, FsConfig, LeaseConfig, PlacementPolicy,
 };
 pub use deploy::{build_fs_cluster, FsCluster};
 pub use elastic::{ElasticController, ElasticStats, NnPoolState};

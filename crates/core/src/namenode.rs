@@ -42,7 +42,9 @@ use crate::view::FsView;
 use bytes::Bytes;
 use ndb::messages::ReadSpec;
 use ndb::{AbortReason, ClientKernel, LockMode, PartitionKey, RowKey, TxEvent, TxId, WriteOp};
-use simnet::{Actor, Admission, Ctx, FxHashMap, Gate, NodeId, Payload, SimDuration, SimTime};
+use simnet::{
+    Actor, Admission, Ctx, FxHashMap, Gate, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -56,6 +58,57 @@ const CLASS_MAINTENANCE: usize = 2;
 
 const ID_BATCH: u64 = 1024;
 const CACHE_CAP: usize = 65_536;
+
+// Worker CPU calibration. One op costs `OP_BASE + PER_COMPONENT * depth +
+// OP_FINISH` on the worker pool, which with the pool size bounds per-NN
+// throughput (§V-D2: NNs use all their CPUs thanks to granular locking).
+// Listings are not charged per returned entry.
+/// Fixed cost on receiving an operation (parse, plan, lock phase).
+const OP_BASE: SimDuration = SimDuration::from_micros(780);
+/// Cost per resolved path component.
+const PER_COMPONENT: SimDuration = SimDuration::from_micros(35);
+/// Fixed cost to finalize and serialize the response.
+const OP_FINISH: SimDuration = SimDuration::from_micros(330);
+
+/// Max op attempts before responding `Busy` (retry with backoff provides
+/// backpressure to NDB, §II-B2).
+const MAX_OP_ATTEMPTS: u32 = 8;
+/// Backoff between op retries after NDB aborts (deadlocks, transient node
+/// failures); the budget is [`MAX_OP_ATTEMPTS`].
+const OP_RETRY: RetryPolicy =
+    RetryPolicy::new(SimDuration::from_millis(4), SimDuration::from_millis(32)).with_jitter(0.0);
+/// Retry-after hint when the subtree lock manager refuses an op
+/// (`sto_locked` paths), so colliding ops spread out behind the lock holder
+/// instead of hammering the generic 4–32 ms curve. It applies with admission
+/// off too: honoring the contention hint is a correctness-of-backoff fix,
+/// not an overload policy.
+const STO_BUSY_RETRY_AFTER: SimDuration = SimDuration::from_millis(12);
+
+/// Admission trickle: requests/second each gate still admits above its
+/// threshold, so it keeps probing for recovery instead of flat-lining.
+const ADMISSION_TRICKLE_PER_SEC: u64 = 4;
+/// Floor on the `retry_after` hint returned with a shed.
+const ADMISSION_RETRY_FLOOR: SimDuration = SimDuration::from_millis(100);
+/// Weight of the NDB TC-queue-delay hint in the load signal, in percent
+/// (100 would count NDB backlog at par with local worker backlog).
+const NDB_SIGNAL_PCT: u64 = 50;
+
+/// Cache-warm penalty of a freshly activated namenode: its first
+/// `WARM_OPS` admitted ops pay `WARM_COST_PCT` extra base cost (its
+/// inode-hint cache is empty, so early ops walk more of the path).
+const WARM_OPS: u64 = 2_000;
+/// Extra base-cost percentage while warming (150 = 2.5× `OP_BASE`).
+const WARM_COST_PCT: u64 = 150;
+
+/// Election rounds a namenode may miss before being considered dead.
+const ELECTION_MISSES: u64 = 2;
+
+/// Block replication factor.
+pub(crate) const BLOCK_REPLICATION: u8 = 3;
+/// Small-file threshold: files strictly smaller stay inline in NDB.
+pub(crate) const SMALL_FILE_MAX: u64 = 128 * 1024;
+/// Block size for large files.
+const BLOCK_SIZE: u64 = 128 << 20;
 
 #[derive(Debug, Clone)]
 struct TickElection;
@@ -509,9 +562,9 @@ impl NameNodeActor {
         let dns = view.dn_ids.len();
         let adm = view.config.admission;
         let gates = [
-            Gate::new(adm.interactive_threshold, adm.trickle_per_sec, adm.retry_floor),
-            Gate::new(adm.batch_threshold, adm.trickle_per_sec, adm.retry_floor),
-            Gate::new(adm.maintenance_threshold, adm.trickle_per_sec, adm.retry_floor),
+            Gate::new(adm.interactive_threshold, ADMISSION_TRICKLE_PER_SEC, ADMISSION_RETRY_FLOOR),
+            Gate::new(adm.batch_threshold, ADMISSION_TRICKLE_PER_SEC, ADMISSION_RETRY_FLOOR),
+            Gate::new(adm.maintenance_threshold, ADMISSION_TRICKLE_PER_SEC, ADMISSION_RETRY_FLOOR),
         ];
         let el = view.config.elastic;
         let (serve_state, membership_epoch, membership) = if el.enabled {
@@ -590,8 +643,7 @@ impl NameNodeActor {
     fn overload_signal(&self, ctx: &mut Ctx<'_>) -> SimDuration {
         let local = ctx.lane_backlog(NN_WORKER);
         let ndb = self.kernel.as_ref().map_or(SimDuration::ZERO, ClientKernel::tc_queue_delay);
-        let pct = u64::from(self.cfg().admission.ndb_signal_pct);
-        local + SimDuration::from_nanos(ndb.as_nanos().saturating_mul(pct) / 100)
+        local + SimDuration::from_nanos(ndb.as_nanos().saturating_mul(NDB_SIGNAL_PCT) / 100)
     }
 
     /// Whether this namenode currently believes it leads.
@@ -733,12 +785,11 @@ impl NameNodeActor {
         // freshly activated namenode pays the cache-warm penalty: its
         // inode-hint cache is empty, so early ops cost extra until the
         // working set refills.
-        let mut cost = self.cfg().nn_costs.op_base;
+        let mut cost = OP_BASE;
         if self.warm_left > 0 {
             self.warm_left -= 1;
             self.stats.warm_penalty_ops += 1;
-            let pct = u64::from(self.cfg().elastic.warm_cost_pct);
-            cost += SimDuration::from_nanos(cost.as_nanos().saturating_mul(pct) / 100);
+            cost += SimDuration::from_nanos(cost.as_nanos().saturating_mul(WARM_COST_PCT) / 100);
         }
         ctx.execute_then(NN_WORKER, cost, OpResume { op: op_id });
     }
@@ -786,8 +837,7 @@ impl NameNodeActor {
             Ok(_) => *self.stats.ops_ok.entry(kind).or_insert(0) += 1,
             Err(_) => *self.stats.ops_err.entry(kind).or_insert(0) += 1,
         }
-        let cost = self.cfg().nn_costs.op_finish;
-        let done = ctx.execute(NN_WORKER, cost);
+        let done = ctx.execute(NN_WORKER, OP_FINISH);
         let resp = FsResponse {
             req_id,
             result,
@@ -1183,8 +1233,8 @@ impl NameNodeActor {
     }
 
     /// Like [`NameNodeActor::retry_op`], but with an optional server-side
-    /// retry-after hint (e.g. the configured wait behind a subtree lock)
-    /// that overrides the generic exponential curve.
+    /// retry-after hint (the wait behind a subtree lock) that overrides the
+    /// generic exponential curve. The op restarts from the top.
     fn retry_op_with_hint(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1192,53 +1242,44 @@ impl NameNodeActor {
         maybe_committed: bool,
         hint: Option<SimDuration>,
     ) {
-        let max = self.cfg().max_op_attempts;
-        let proceed = {
-            let octx = match self.ops.get_mut(&op_id) {
-                Some(o) => o,
-                None => return,
-            };
-            let tx = octx.tx.take();
-            if maybe_committed {
-                octx.idempotent_retry = true;
-            }
-            octx.attempt += 1;
-            let proceed = octx.attempt <= max;
-            if let Some(tx) = tx {
-                self.tx_to_op.remove(&tx);
-                // Release the failed attempt's locks (no-op if the kernel
-                // already forgot the tx after an abort event).
-                self.kernel().abort(ctx, tx);
-            }
-            proceed
-        };
-        if !proceed {
-            self.finish_op(ctx, op_id, Err(FsError::Busy));
-            return;
+        let Some(octx) = self.ops.get_mut(&op_id) else { return };
+        if maybe_committed {
+            octx.idempotent_retry = true;
         }
+        if let Some(tx) = octx.tx.take() {
+            self.tx_to_op.remove(&tx);
+            // Release the failed attempt's locks (no-op if the kernel
+            // already forgot the tx after an abort event).
+            self.kernel().abort(ctx, tx);
+        }
+        if self.back_off(ctx, op_id, hint) {
+            self.reset_op_state(op_id);
+        } else {
+            self.finish_op(ctx, op_id, Err(FsError::Busy));
+        }
+    }
+
+    /// The retry tail shared by whole-op and subtree-phase retries: spends
+    /// one of the op's [`MAX_OP_ATTEMPTS`] and, while attempts remain,
+    /// counts the retry and schedules `OpResume` after the backoff. Returns
+    /// false, with nothing scheduled, once the budget is spent.
+    fn back_off(&mut self, ctx: &mut Ctx<'_>, op_id: u64, hint: Option<SimDuration>) -> bool {
+        let octx = self.ops.get_mut(&op_id).expect("op exists");
+        octx.attempt += 1;
+        if octx.attempt > MAX_OP_ATTEMPTS {
+            return false;
+        }
+        let (retry, span) = (octx.attempt - 1, octx.span);
         self.stats.tx_retries += 1;
-        self.reset_op_state(op_id);
-        let attempt = self.ops[&op_id].attempt;
-        // Shared backoff policy; the budget check above (max_op_attempts)
-        // already gated the retry, so the policy only shapes the delay. The
-        // salt decorrelates jitter (if configured) across ops and namenodes.
+        // The salt decorrelates jitter (if any) across ops and namenodes.
         let salt = op_id ^ ((self.my_idx as u64) << 32);
         let delay = match hint {
             // Contention with a known cause (a subtree lock holder): wait
-            // the server-configured hint instead of the generic curve, so
-            // bounced ops line up behind the lock instead of herding.
-            Some(h) => self
-                .cfg()
-                .op_retry
-                .delay_after_hint(h, attempt.saturating_sub(1), salt)
-                .unwrap_or(h),
-            None => self
-                .cfg()
-                .op_retry
-                .delay(attempt.saturating_sub(1), salt)
-                .unwrap_or(self.cfg().op_retry.cap),
+            // the server's hint instead of the generic curve, so bounced
+            // ops line up behind the lock instead of herding.
+            Some(h) => OP_RETRY.delay_after_hint(h, retry, salt),
+            None => OP_RETRY.delay(retry, salt),
         };
-        let span = self.ops[&op_id].span;
         let layer = ctx.layer();
         ctx.metrics().inc(layer, "op_retries", 1);
         ctx.metrics().record_hist(layer, "retry_backoff_ns", delay.as_nanos());
@@ -1246,6 +1287,7 @@ impl NameNodeActor {
         ctx.span_at("backoff", "retry", span, now, now + delay);
         ctx.set_span(span);
         ctx.schedule(delay, OpResume { op: op_id });
+        true
     }
 
     /// Starts (or restarts) an op's transaction and begins resolution.
@@ -1307,7 +1349,6 @@ impl NameNodeActor {
     }
 
     fn continue_walk(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        let per_component = self.cfg().nn_costs.per_component;
         let inodes = self.fs().inodes;
         let outcome = {
             let octx = self.ops.get_mut(&op_id).expect("op exists");
@@ -1331,7 +1372,7 @@ impl NameNodeActor {
         };
         match outcome {
             WalkOutcome::Read { tx, key } => {
-                ctx.execute(NN_WORKER, per_component);
+                ctx.execute(NN_WORKER, PER_COMPONENT);
                 self.kernel().read(
                     ctx,
                     tx,
@@ -1418,8 +1459,7 @@ impl NameNodeActor {
             Next::StaleCache => self.retry_op(ctx, op_id, false),
             Next::StoLocked => {
                 self.stats.sto_rejections += 1;
-                let hint = self.cfg().admission.sto_busy_retry_after;
-                self.retry_op_with_hint(ctx, op_id, false, Some(hint));
+                self.retry_op_with_hint(ctx, op_id, false, Some(STO_BUSY_RETRY_AFTER));
             }
         }
     }
@@ -1687,8 +1727,7 @@ impl NameNodeActor {
         }
         if sto_locked {
             self.stats.sto_rejections += 1;
-            let hint = self.cfg().admission.sto_busy_retry_after;
-            self.retry_op_with_hint(ctx, op_id, false, Some(hint));
+            self.retry_op_with_hint(ctx, op_id, false, Some(STO_BUSY_RETRY_AFTER));
             return;
         }
         if read_only {
@@ -1935,7 +1974,7 @@ impl NameNodeActor {
         let fs = self.fs();
         match self.cfg().block_backend {
             BlockBackend::Datanodes => {
-                let replication = self.cfg().block_replication as usize;
+                let replication = BLOCK_REPLICATION as usize;
                 let targets = place_replicas(
                     &self.view,
                     &self.dn_alive_mask(ctx.now()),
@@ -1990,9 +2029,6 @@ impl NameNodeActor {
     fn patch_creates_and_write(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
         let now_ns = ctx.now().as_nanos();
         let fs = self.fs();
-        let block_replication = self.cfg().block_replication;
-        let small_max = self.cfg().small_file_max;
-        let block_size = self.cfg().block_size;
         // Patch placeholder create/mkdir rows (they need fresh ids).
         let patch: Option<(FsOp, usize)> = {
             let octx = self.ops.get_mut(&op_id).expect("op exists");
@@ -2014,7 +2050,7 @@ impl NameNodeActor {
                         .expect("append validated the target");
                     let new_size = rec.size + bytes;
                     rec.mtime = now_ns;
-                    if rec.block_count == 0 && new_size < small_max {
+                    if rec.block_count == 0 && new_size < SMALL_FILE_MAX {
                         // Still small: rewrite the inline payload.
                         rec.inline_len = new_size as u32;
                         rec.size = new_size;
@@ -2056,21 +2092,21 @@ impl NameNodeActor {
                 }
                 FsOp::Create { size, .. } => {
                     let id = self.alloc_id();
-                    let mut rec = InodeRecord::file(InodeId(id), now_ns, block_replication);
+                    let mut rec = InodeRecord::file(InodeId(id), now_ns, BLOCK_REPLICATION);
                     rec.size = *size;
-                    if *size > 0 && *size < small_max {
+                    if *size > 0 && *size < SMALL_FILE_MAX {
                         rec.inline_len = *size as u32;
                         extra_writes.push(WriteOp::Put {
                             table: fs.small_files,
                             key: FsSchema::small_file_key(InodeId(id)),
                             data: Bytes::from(vec![0u8; *size as usize]),
                         });
-                    } else if *size >= small_max {
-                        let nblocks = size.div_ceil(block_size).max(1);
+                    } else if *size >= SMALL_FILE_MAX {
+                        let nblocks = size.div_ceil(BLOCK_SIZE).max(1);
                         rec.block_count = nblocks as u32;
                         for b in 0..nblocks {
                             let block_id = self.alloc_id();
-                            let len = (*size - b * block_size).min(block_size);
+                            let len = (*size - b * BLOCK_SIZE).min(BLOCK_SIZE);
                             extra_writes.push(WriteOp::Put {
                                 table: fs.blocks,
                                 key: FsSchema::block_key(InodeId(id), b),
@@ -2547,39 +2583,14 @@ impl NameNodeActor {
     /// Phase-local retry: back off and resume the *current* phase (scan
     /// restarts from scratch; batch and final transactions re-issue).
     fn sto_phase_retry(&mut self, ctx: &mut Ctx<'_>, op_id: u64) {
-        let max = self.cfg().max_op_attempts;
-        let proceed = {
-            let octx = match self.ops.get_mut(&op_id) {
-                Some(o) => o,
-                None => return,
-            };
-            // The kernel already forgot the tx when it surfaced the abort.
-            if let Some(tx) = octx.tx.take() {
-                self.tx_to_op.remove(&tx);
-            }
-            octx.attempt += 1;
-            octx.attempt <= max
-        };
-        if !proceed {
-            self.sto_give_up(ctx, op_id, FsError::Busy);
-            return;
+        let Some(octx) = self.ops.get_mut(&op_id) else { return };
+        // The kernel already forgot the tx when it surfaced the abort.
+        if let Some(tx) = octx.tx.take() {
+            self.tx_to_op.remove(&tx);
         }
-        self.stats.tx_retries += 1;
-        let attempt = self.ops[&op_id].attempt;
-        let salt = op_id ^ ((self.my_idx as u64) << 32);
-        let delay = self
-            .cfg()
-            .op_retry
-            .delay(attempt.saturating_sub(1), salt)
-            .unwrap_or(self.cfg().op_retry.cap);
-        let span = self.ops[&op_id].span;
-        let layer = ctx.layer();
-        ctx.metrics().inc(layer, "op_retries", 1);
-        ctx.metrics().record_hist(layer, "retry_backoff_ns", delay.as_nanos());
-        let now = ctx.now();
-        ctx.span_at("backoff", "retry", span, now, now + delay);
-        ctx.set_span(span);
-        ctx.schedule(delay, OpResume { op: op_id });
+        if !self.back_off(ctx, op_id, None) {
+            self.sto_give_up(ctx, op_id, FsError::Busy);
+        }
     }
 
     /// Abandon a subtree op mid-protocol. The lock row stays behind on
@@ -3124,8 +3135,7 @@ impl NameNodeActor {
     fn process_election_rows(&mut self, ctx: &mut Ctx<'_>, rows: Vec<ndb::Row>) {
         let now = ctx.now();
         let period = self.cfg().election_period;
-        let misses = self.cfg().election_misses;
-        let fresh = period * u64::from(misses) + period / 2;
+        let fresh = period * ELECTION_MISSES + period / 2;
         let mut active = Vec::new();
         let mut leader = u32::MAX;
         for r in &rows {
@@ -3398,7 +3408,7 @@ impl NameNodeActor {
             return;
         }
         self.serve_state = NnPoolState::Serving;
-        self.warm_left = self.cfg().elastic.warm_ops;
+        self.warm_left = WARM_OPS;
         if let Some(controller) = self.view.controller_id {
             ctx.send_sized(controller, 32, NnServing { nn_idx: self.my_idx as u32 });
         }
@@ -3474,8 +3484,7 @@ impl Actor for NameNodeActor {
             // Grant warm-up: no leases until this namenode has had time to
             // appear in every peer's election view — a grant before that
             // could dodge revoke rounds that exempt "long-departed" peers.
-            let cfg = self.cfg();
-            let visible = cfg.election_period * (u64::from(cfg.election_misses) + 1);
+            let visible = self.cfg().election_period * (ELECTION_MISSES + 1);
             self.lease_grants_from = now + visible;
             self.refill_ids(ctx);
         }

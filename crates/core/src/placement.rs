@@ -16,9 +16,7 @@ use simnet::AzId;
 /// - [`PlacementPolicy::Random`]: uniform distinct nodes;
 /// - [`PlacementPolicy::RackAwareAzAsRack`]: the HDFS default with AZs
 ///   configured as racks — first replica local, second on a different AZ,
-///   third on the second's AZ (a different node), rest random;
-/// - [`PlacementPolicy::AzSpread`]: strict round-robin across AZs, so a
-///   whole-AZ failure can never lose all replicas.
+///   third on the second's AZ (a different node), rest random.
 pub fn place_replicas(
     view: &FsView,
     alive: &[bool],
@@ -79,28 +77,6 @@ pub fn place_replicas(
             // Rest: anything.
             while picked.len() < n && take(&mut picked, &|_| true) {}
         }
-        PlacementPolicy::AzSpread => {
-            // Cover distinct AZs first (writer's AZ first when known).
-            let mut azs: Vec<AzId> = view.config.azs.clone();
-            if let Some(waz) = writer_az {
-                azs.retain(|&a| a != waz);
-                azs.insert(0, waz);
-            }
-            'outer: loop {
-                let before = picked.len();
-                for &az in &azs {
-                    if picked.len() == n {
-                        break 'outer;
-                    }
-                    take(&mut picked, &|i| az_of(i) == az);
-                }
-                if picked.len() == before {
-                    // No progress possible in any AZ.
-                    while picked.len() < n && take(&mut picked, &|_| true) {}
-                    break;
-                }
-            }
-        }
     }
     picked
 }
@@ -125,7 +101,7 @@ mod tests {
 
     #[test]
     fn replicas_are_distinct() {
-        for policy in [PlacementPolicy::Random, PlacementPolicy::RackAwareAzAsRack, PlacementPolicy::AzSpread] {
+        for policy in [PlacementPolicy::Random, PlacementPolicy::RackAwareAzAsRack] {
             let v = view(policy, 9);
             let picked = place_replicas(&v, &[true; 9], Some(AzId(0)), 3, &mut rng());
             assert_eq!(picked.len(), 3);
@@ -146,19 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn az_spread_covers_all_three_azs() {
-        let v = view(PlacementPolicy::AzSpread, 9);
-        for seed in 0..20 {
-            let mut r = StdRng::seed_from_u64(seed);
-            let picked = place_replicas(&v, &[true; 9], None, 3, &mut r);
-            let azs: FxHashSet<_> = picked.iter().map(|&i| v.dn_azs[i]).collect();
-            assert_eq!(azs.len(), 3, "one replica per AZ: {picked:?}");
-        }
-    }
-
-    #[test]
     fn dead_nodes_are_never_picked() {
-        let v = view(PlacementPolicy::AzSpread, 9);
+        let v = view(PlacementPolicy::RackAwareAzAsRack, 9);
         let mut alive = vec![true; 9];
         for i in [0usize, 3, 6] {
             alive[i] = false;
@@ -169,7 +134,7 @@ mod tests {
 
     #[test]
     fn degraded_cluster_returns_fewer() {
-        let v = view(PlacementPolicy::AzSpread, 9);
+        let v = view(PlacementPolicy::RackAwareAzAsRack, 9);
         let mut alive = vec![false; 9];
         alive[4] = true;
         let picked = place_replicas(&v, &alive, None, 3, &mut rng());

@@ -271,10 +271,8 @@ impl Session {
         }
         let retry = p.attempt - 2;
         let (d, span) = match hint {
-            Some(h) => {
-                (self.backoff.delay_after_hint(h, retry, salt).unwrap_or(h), "overload_backoff")
-            }
-            None => (self.backoff.delay(retry, salt).unwrap_or(self.backoff.cap), "backoff"),
+            Some(h) => (self.backoff.delay_after_hint(h, retry, salt), "overload_backoff"),
+            None => (self.backoff.delay(retry, salt), "backoff"),
         };
         // Mask the op timeout until the resend fires.
         p.sent_at = now + d;

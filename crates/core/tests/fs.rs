@@ -177,6 +177,43 @@ fn recursive_delete_removes_subtree() {
     assert_eq!(results[n - 1], Err(FsError::NotFound));
 }
 
+/// The namenode's op-retry budget: an op refused on every attempt (here by
+/// the subtree lock of a long recursive delete) ends `Busy` after exactly 8
+/// attempts, i.e. 7 retries.
+#[test]
+fn op_refused_on_every_attempt_ends_busy_after_eight() {
+    let mut cfg = hopsfs::FsConfig::hopsfs_cl(6, 3, 1);
+    cfg.subtree_batch_size = 4;
+    let mut sim = Simulation::new(11);
+    sim.set_jitter(0.0);
+    let cluster = build_fs_cluster(&mut sim, cfg, 6);
+    let mut h = H { sim, cluster };
+    h.cluster.bulk_mkdir_p(&mut h.sim, "/big");
+    for i in 0..800 {
+        h.cluster.bulk_add_file(&mut h.sim, &format!("/big/f{i}"), 0);
+    }
+    let nn = h.cluster.view.nn_ids[0];
+    let delete = vec![FsOp::Delete { path: p("/big"), recursive: true }];
+    let deleter = h.cluster.add_client(
+        &mut h.sim,
+        AzId(0),
+        Box::new(ScriptedSource::new(delete)),
+        ClientStats::shared(),
+    );
+    h.sim.actor_mut::<FsClientActor>(deleter).keep_results = true;
+    // Let the delete take its subtree lock and start its batches.
+    h.sim.run_for(SimDuration::from_millis(100));
+    assert!(h.sim.actor::<FsClientActor>(deleter).results.is_empty(), "the delete is still running");
+    assert_eq!(h.sim.actor::<hopsfs::NameNodeActor>(nn).stats.tx_retries, 0);
+
+    let results = run_ops(&mut h, 1, vec![FsOp::Create { path: p("/big/late"), size: 0 }]);
+    assert_eq!(results, vec![Err(FsError::Busy)]);
+    let st = &h.sim.actor::<hopsfs::NameNodeActor>(nn).stats;
+    assert_eq!(st.sto_rejections, 8, "one refusal per attempt");
+    assert_eq!(st.tx_retries, 7, "retries between the 8 attempts");
+    assert!(run_client(&mut h, deleter, 1)[0].is_ok(), "the delete itself completes");
+}
+
 #[test]
 fn rename_moves_entries_atomically() {
     let mut h = cl_cluster(2);

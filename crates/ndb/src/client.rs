@@ -16,6 +16,19 @@ use bytes::Bytes;
 use simnet::{AzId, Ctx, FxHashMap, Location, NodeId, RetryPolicy, SimDuration, SimTime};
 use std::sync::Arc;
 
+/// Time without a coordinator response after which a transaction is
+/// abandoned and its coordinator suspected.
+const RESPONSE_TIMEOUT: SimDuration = SimDuration::from_millis(1200);
+/// Suspicion backoff: a datanode that keeps timing out is avoided for
+/// exponentially longer, from 1.5 s up to 8× that, so a gray, flapping
+/// coordinator stops re-capturing traffic every TTL.
+const SUSPICION: RetryPolicy =
+    RetryPolicy::new(SimDuration::from_millis(1500), SimDuration::from_millis(12_000)).with_jitter(0.0);
+/// How long the coordinator-queue-delay overload hint cached from the last
+/// response stays fresh. A quiet client ages the signal back to zero after
+/// this, instead of sitting on a stale congestion report indefinitely.
+const TC_SIGNAL_TTL: SimDuration = SimDuration::from_millis(400);
+
 /// What a transaction is currently waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Expect {
@@ -98,12 +111,6 @@ pub struct ClientKernel {
     /// resynced, so the sweep marks them suspect (responses carry no
     /// timestamp, hence the deferred application).
     pending_suspects: Vec<usize>,
-    /// How long to wait for a coordinator response before declaring it dead.
-    pub response_timeout: SimDuration,
-    /// Suspicion backoff: a datanode that keeps timing out is avoided for
-    /// exponentially longer (base = the configured suspicion TTL), so a
-    /// gray, flapping coordinator stops re-capturing traffic every TTL.
-    pub suspicion: RetryPolicy,
     /// Which coordinator case/TC each tx used (exposed for stats/tests).
     pub last_tc: Option<usize>,
     /// Largest number of write ops any single transaction has carried
@@ -117,7 +124,7 @@ pub struct ClientKernel {
     /// zero as soon as a reply from an unloaded coordinator arrives.
     tc_queue_delay: SimDuration,
     /// When `tc_queue_delay` was last refreshed by a response. The sweep
-    /// ages the signal out after [`crate::config::Timeouts::tc_signal_ttl`]:
+    /// ages the signal out after `TC_SIGNAL_TTL`:
     /// without the TTL a kernel that stops receiving responses (idle NN, or
     /// every TC suspect) would hold a stale overload reading forever and
     /// keep shedding load the cluster could serve.
@@ -137,9 +144,6 @@ impl ClientKernel {
     /// transaction ids). `my_domain` enables AZ-aware coordinator selection.
     pub fn new(view: Arc<ClusterView>, client_node: NodeId, my_loc: Location, my_domain: Option<AzId>) -> Self {
         let n = view.datanode_count();
-        let t = &view.config.timeouts;
-        let response_timeout = t.client_response_timeout;
-        let ttl = t.client_suspicion_ttl;
         ClientKernel {
             my_loc,
             my_domain,
@@ -149,8 +153,6 @@ impl ClientKernel {
             suspect_until: vec![SimTime::ZERO; n],
             tc_failures: vec![0; n],
             pending_suspects: Vec::new(),
-            response_timeout,
-            suspicion: RetryPolicy::new(ttl, ttl * 8).with_jitter(0.0),
             last_tc: None,
             largest_write_batch: 0,
             tc_queue_delay: SimDuration::ZERO,
@@ -321,13 +323,11 @@ impl ClientKernel {
         // Age out the cached overload signal: with no response refreshing
         // it within the TTL, the reading no longer describes the cluster
         // (the queue it measured has long drained or grown).
-        let signal_ttl = self.view.config.timeouts.tc_signal_ttl;
         if self.tc_queue_delay > SimDuration::ZERO
-            && now.saturating_since(self.tc_signal_at) > signal_ttl
+            && now.saturating_since(self.tc_signal_at) > TC_SIGNAL_TTL
         {
             self.tc_queue_delay = SimDuration::ZERO;
         }
-        let timeout = self.response_timeout;
         let mut dead_tcs = Vec::new();
         // Sorted: `txs` is a HashMap, and the order the aborts surface in
         // decides the owner's retry order — it must be identical across
@@ -336,7 +336,7 @@ impl ClientKernel {
             .txs
             .iter()
             .filter(|(_, st)| {
-                st.pending_since.is_some_and(|since| now.saturating_since(since) > timeout)
+                st.pending_since.is_some_and(|since| now.saturating_since(since) > RESPONSE_TIMEOUT)
             })
             .map(|(&tx, _)| tx)
             .collect();
@@ -357,10 +357,7 @@ impl ClientKernel {
         for idx in dead_tcs {
             let streak = self.tc_failures[idx];
             self.tc_failures[idx] = streak.saturating_add(1);
-            let ttl = self
-                .suspicion
-                .delay(streak, idx as u64)
-                .unwrap_or(self.suspicion.cap);
+            let ttl = SUSPICION.delay(streak, idx as u64);
             self.suspect_until[idx] = self.suspect_until[idx].max(now + ttl);
         }
         events
@@ -392,7 +389,7 @@ mod tests {
     #[test]
     fn tc_queue_delay_signal_ages_out() {
         let mut k = kernel();
-        let ttl = k.view().config.timeouts.tc_signal_ttl;
+        let ttl = TC_SIGNAL_TTL;
         let t0 = SimTime::ZERO + SimDuration::from_millis(1);
 
         let mut resp = TxResponse::new(TxId { client: 1, seq: 1 }, RespBody::WriteAck);

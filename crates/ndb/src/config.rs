@@ -33,21 +33,24 @@ pub struct ThreadConfig {
     pub recv: usize,
     /// Send threads.
     pub send: usize,
-    /// Replication threads.
-    pub rep: usize,
-    /// I/O threads.
-    pub io: usize,
-    /// Schema-management threads.
-    pub main: usize,
 }
 
 impl Default for ThreadConfig {
     fn default() -> Self {
-        ThreadConfig { ldm: 12, tc: 7, recv: 3, send: 2, rep: 1, io: 1, main: 1 }
+        ThreadConfig { ldm: 12, tc: 7, recv: 3, send: 2 }
     }
 }
 
+/// Batching discount on the LDM and TC lanes: the backlog at which it is
+/// full, and the service-time multiplier it then applies.
+const BATCHING: Batching =
+    Batching { saturation_backlog: SimDuration::from_micros(250), min_factor: 0.35 };
+
 impl ThreadConfig {
+    /// Threads of each of the REP, IO and MAIN classes: one, as in Table II,
+    /// at every scale.
+    pub const SINGLE_CLASS_THREADS: usize = 1;
+
     /// A proportionally shrunk configuration for scaled-down simulations.
     /// Classes never drop below one thread.
     pub fn scaled_down(&self, factor: usize) -> Self {
@@ -57,135 +60,53 @@ impl ThreadConfig {
             tc: (self.tc / f).max(1),
             recv: (self.recv / f).max(1),
             send: (self.send / f).max(1),
-            rep: self.rep,
-            io: self.io,
-            main: self.main,
         }
     }
 
     /// Total thread count (27 for the paper's configuration).
     pub fn total(&self) -> usize {
-        self.ldm + self.tc + self.recv + self.send + self.rep + self.io + self.main
+        self.ldm + self.tc + self.recv + self.send + 3 * Self::SINGLE_CLASS_THREADS
     }
 
     /// Materializes the `simnet` lane specs, with NDB's batching discount on
     /// the LDM and TC classes (the paper explains continued throughput growth
     /// past the CPU plateau by request batching).
-    pub fn lane_specs(&self, costs: &CostModel) -> Vec<LaneClassSpec> {
-        let batching = Batching {
-            saturation_backlog: costs.batching_saturation_backlog,
-            min_factor: costs.batching_min_factor,
-        };
+    pub fn lane_specs(&self) -> Vec<LaneClassSpec> {
         vec![
-            LaneClassSpec::new(lane::LDM, self.ldm).with_batching(batching),
-            LaneClassSpec::new(lane::TC, self.tc).with_batching(batching),
+            LaneClassSpec::new(lane::LDM, self.ldm).with_batching(BATCHING),
+            LaneClassSpec::new(lane::TC, self.tc).with_batching(BATCHING),
             LaneClassSpec::new(lane::RECV, self.recv),
             LaneClassSpec::new(lane::SEND, self.send),
-            LaneClassSpec::new(lane::REP, self.rep),
-            LaneClassSpec::new(lane::IO, self.io),
-            LaneClassSpec::new(lane::MAIN, self.main),
+            LaneClassSpec::new(lane::REP, Self::SINGLE_CLASS_THREADS),
+            LaneClassSpec::new(lane::IO, Self::SINGLE_CLASS_THREADS),
+            LaneClassSpec::new(lane::MAIN, Self::SINGLE_CLASS_THREADS),
         ]
     }
 }
 
-/// CPU service-time calibration for the datanode protocol steps.
-///
-/// These constants are the calibration knobs described in `DESIGN.md`: they
-/// are set once so that the vanilla HopsFS (2,1) baseline lands near the
-/// paper's absolute scale, and every other experiment inherits them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
-    /// LDM cost to serve one row read.
-    pub ldm_read: SimDuration,
-    /// LDM cost to prepare/apply one row write.
-    pub ldm_write: SimDuration,
-    /// LDM cost to scan one row during a partition-pruned scan.
-    pub ldm_scan_row: SimDuration,
-    /// Fixed LDM cost to start a scan.
-    pub ldm_scan_base: SimDuration,
-    /// TC cost per operation routed through a coordinator.
-    pub tc_op: SimDuration,
-    /// TC fixed cost per transaction step (request parsing, state).
-    pub tc_step: SimDuration,
-    /// RECV cost per inbound message.
-    pub recv_msg: SimDuration,
-    /// SEND cost per outbound message.
-    pub send_msg: SimDuration,
-    /// Redo-log bytes written per committed row write.
-    pub redo_bytes_per_write: u64,
-    /// Backlog at which batching reaches its full discount.
-    pub batching_saturation_backlog: SimDuration,
-    /// Service-time multiplier at full batching.
-    pub batching_min_factor: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            ldm_read: SimDuration::from_micros(30),
-            ldm_write: SimDuration::from_micros(60),
-            ldm_scan_row: SimDuration::from_micros(6),
-            ldm_scan_base: SimDuration::from_micros(30),
-            tc_op: SimDuration::from_micros(7),
-            tc_step: SimDuration::from_micros(12),
-            recv_msg: SimDuration::from_micros(3),
-            send_msg: SimDuration::from_micros(2),
-            redo_bytes_per_write: 512,
-            batching_saturation_backlog: SimDuration::from_micros(250),
-            batching_min_factor: 0.35,
-        }
-    }
-}
-
 /// Protocol timeouts, named after their NDB configuration parameters.
+/// These are the ones tests shorten or stretch; the rest of the protocol's
+/// timeouts are constants next to the code that waits on them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Timeouts {
-    /// Abort a transaction the client has abandoned.
-    pub transaction_inactive: SimDuration,
     /// Abort a transaction stuck on locks / failed nodes (also the lock-wait
     /// deadlock resolution timeout).
     pub transaction_deadlock_detection: SimDuration,
     /// Datanode-to-datanode heartbeat period.
     pub heartbeat_interval: SimDuration,
-    /// Missed-heartbeat count after which a peer is declared dead.
-    pub heartbeat_misses: u32,
     /// Datanode-to-arbitrator liveness check period.
     pub arbitration_interval: SimDuration,
-    /// Time without arbitrator contact (while suspecting peers) after which
-    /// a datanode shuts itself down.
-    pub arbitration_timeout: SimDuration,
     /// Global checkpoint period (redo log flush across node groups).
     pub gcp_interval: SimDuration,
-    /// API-client side: time without a response after which a transaction is
-    /// abandoned and its coordinator suspected.
-    pub client_response_timeout: SimDuration,
-    /// API-client side: base duration a suspected coordinator is avoided
-    /// (escalated by the client's retry policy on repeated failures).
-    pub client_suspicion_ttl: SimDuration,
-    /// Management-server side: time without a heartbeat from the active
-    /// arbitrator before the next-ranked management server takes over.
-    pub mgmt_failover_deadline: SimDuration,
-    /// API-client side: how long the coordinator-queue-delay overload hint
-    /// cached from the last response stays fresh. A quiet client ages the
-    /// signal back to zero after this, instead of sitting on a stale
-    /// congestion report indefinitely.
-    pub tc_signal_ttl: SimDuration,
 }
 
 impl Default for Timeouts {
     fn default() -> Self {
         Timeouts {
-            transaction_inactive: SimDuration::from_millis(800),
             transaction_deadlock_detection: SimDuration::from_millis(150),
             heartbeat_interval: SimDuration::from_millis(100),
-            heartbeat_misses: 4,
             arbitration_interval: SimDuration::from_millis(100),
-            arbitration_timeout: SimDuration::from_millis(500),
             gcp_interval: SimDuration::from_millis(500),
-            client_response_timeout: SimDuration::from_millis(1200),
-            client_suspicion_ttl: SimDuration::from_millis(1500),
-            mgmt_failover_deadline: SimDuration::from_millis(400),
-            tc_signal_ttl: SimDuration::from_millis(400),
         }
     }
 }
@@ -212,12 +133,8 @@ pub struct ClusterConfig {
     /// Replicas per partition (NDB `NoOfReplicas`, the paper's
     /// "metadata replication factor": 2 or 3).
     pub replication_factor: usize,
-    /// Partitions per table.
-    pub partitions_per_table: usize,
     /// Thread layout per datanode.
     pub threads: ThreadConfig,
-    /// CPU calibration.
-    pub costs: CostModel,
     /// Protocol timeouts.
     pub timeouts: Timeouts,
     /// Whether restarted datanodes run the node-recovery protocol (rejoin
@@ -258,9 +175,7 @@ impl ClusterConfig {
         ClusterConfig {
             datanodes,
             replication_factor: r,
-            partitions_per_table: (n * 2).max(8),
             threads: ThreadConfig::default(),
-            costs: CostModel::default(),
             timeouts: Timeouts::default(),
             node_recovery: true,
             initial_node_groups: 0,
@@ -276,6 +191,11 @@ impl ClusterConfig {
             d.location_domain_id = None;
         }
         c
+    }
+
+    /// Partitions per table: two per provisioned datanode, at least 8.
+    pub fn partitions_per_table(&self) -> usize {
+        (self.datanodes.len() * 2).max(8)
     }
 
     /// Number of node groups (`n / r`).

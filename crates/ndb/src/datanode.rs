@@ -28,6 +28,38 @@ use simnet::{Actor, Ctx, DiskOp, FxHashMap, NodeId, Payload, SimDuration, SimTim
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+// CPU service-time calibration for the protocol steps (see DESIGN.md): set
+// once so that the vanilla HopsFS (2,1) baseline lands near the paper's
+// absolute scale; every other experiment inherits it.
+/// LDM cost to serve one row read.
+const LDM_READ: SimDuration = SimDuration::from_micros(30);
+/// LDM cost to prepare/apply one row write.
+const LDM_WRITE: SimDuration = SimDuration::from_micros(60);
+/// LDM cost to scan one row during a partition-pruned scan.
+const LDM_SCAN_ROW: SimDuration = SimDuration::from_micros(6);
+/// Fixed LDM cost to start a scan.
+const LDM_SCAN_BASE: SimDuration = SimDuration::from_micros(30);
+/// TC cost per operation routed through a coordinator.
+const TC_OP: SimDuration = SimDuration::from_micros(7);
+/// TC fixed cost per transaction step (request parsing, state).
+const TC_STEP: SimDuration = SimDuration::from_micros(12);
+/// RECV cost per inbound message.
+const RECV_MSG: SimDuration = SimDuration::from_micros(3);
+/// SEND cost per outbound message.
+const SEND_MSG: SimDuration = SimDuration::from_micros(2);
+/// Redo-log bytes written per committed row write.
+const REDO_BYTES_PER_WRITE: u64 = 512;
+
+// Protocol timeouts no deployment varies, named after their NDB
+// configuration parameters; the varied ones are in `Timeouts`.
+/// Abort a transaction the client has abandoned (`TransactionInactiveTimeout`).
+const TRANSACTION_INACTIVE: SimDuration = SimDuration::from_millis(800);
+/// Missed-heartbeat count after which a peer is declared dead.
+const HEARTBEAT_MISSES: u64 = 4;
+/// Time without arbitrator contact after which a datanode tries the next
+/// arbitrator; past twice this while it suspects peers, it shuts itself down.
+const ARBITRATION_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
 // Timer payloads.
 #[derive(Debug, Clone)]
 struct TickHeartbeat;
@@ -453,32 +485,26 @@ impl DatanodeActor {
 
     // --- CPU charging helpers -------------------------------------------
 
-    fn costs(&self) -> &crate::config::CostModel {
-        &self.view.config.costs
-    }
-
     /// Charges inbound-network CPU; overflows to the REP helper thread when
     /// the RECV lanes are backlogged (this is what drives the paper's
     /// observation that the otherwise-idle REP thread runs at ~90%).
     fn charge_net_in(&self, ctx: &mut Ctx<'_>) {
-        let cost = self.costs().recv_msg;
         if ctx.lane_backlog(lane::RECV) > SimDuration::ZERO
             && ctx.lane_backlog(lane::REP) == SimDuration::ZERO
         {
-            ctx.execute(lane::REP, cost);
+            ctx.execute(lane::REP, RECV_MSG);
         } else {
-            ctx.execute(lane::RECV, cost);
+            ctx.execute(lane::RECV, RECV_MSG);
         }
     }
 
     fn charge_net_out(&self, ctx: &mut Ctx<'_>) {
-        let cost = self.costs().send_msg;
         if ctx.lane_backlog(lane::SEND) > SimDuration::ZERO
             && ctx.lane_backlog(lane::REP) == SimDuration::ZERO
         {
-            ctx.execute(lane::REP, cost);
+            ctx.execute(lane::REP, SEND_MSG);
         } else {
-            ctx.execute(lane::SEND, cost);
+            ctx.execute(lane::SEND, SEND_MSG);
         }
     }
 
@@ -570,8 +596,7 @@ impl DatanodeActor {
 
     fn tc_read_step(&mut self, ctx: &mut Ctx<'_>, tx_id: TxId, specs: Vec<ReadSpec>) {
         let now = ctx.now();
-        let costs = self.costs().clone();
-        let step_cost = costs.tc_step + costs.tc_op * specs.len() as u64;
+        let step_cost = TC_STEP + TC_OP * specs.len() as u64;
         let done = ctx.execute(lane::TC, step_cost);
         let my_idx = self.my_idx as u32;
         let view = Arc::clone(&self.view);
@@ -660,8 +685,7 @@ impl DatanodeActor {
 
     fn tc_scan_step(&mut self, ctx: &mut Ctx<'_>, tx_id: TxId, table: TableId, pk: PartitionKey) {
         let now = ctx.now();
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::TC, costs.tc_step + costs.tc_op);
+        let done = ctx.execute(lane::TC, TC_STEP + TC_OP);
         let options = self.view.schema.table(table).options;
         let pid = self.pmap.partition_of(pk);
         let read_mask = self.read_mask();
@@ -693,8 +717,7 @@ impl DatanodeActor {
 
     fn tc_write_step(&mut self, ctx: &mut Ctx<'_>, tx_id: TxId, ops: Vec<WriteOp>) {
         let now = ctx.now();
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::TC, costs.tc_step + costs.tc_op * ops.len() as u64);
+        let done = ctx.execute(lane::TC, TC_STEP + TC_OP * ops.len() as u64);
         let client = {
             let tx = self.txs.get_mut(&tx_id).expect("tx registered");
             tx.last_activity = now;
@@ -708,12 +731,11 @@ impl DatanodeActor {
 
     fn tc_commit_step(&mut self, ctx: &mut Ctx<'_>, tx_id: TxId) {
         let now = ctx.now();
-        let costs = self.costs().clone();
         let view = Arc::clone(&self.view);
         let my_idx = self.my_idx as u32;
 
         let n_writes = self.txs[&tx_id].writes.len();
-        let done = ctx.execute(lane::TC, costs.tc_step + costs.tc_op * (n_writes as u64 + 1));
+        let done = ctx.execute(lane::TC, TC_STEP + TC_OP * (n_writes as u64 + 1));
 
         if n_writes == 0 {
             // Read-only: release any read locks, Ack immediately.
@@ -843,7 +865,6 @@ impl DatanodeActor {
     }
 
     fn on_prepared_row(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, m: PreparedRow) {
-        let costs = self.costs().clone();
         let my_idx = self.my_idx as u32;
         let ready = {
             let tx = match self.txs.get_mut(&m.tx) {
@@ -862,7 +883,7 @@ impl DatanodeActor {
         }
         // All rows prepared: send Commit to the LAST node of each chain; the
         // message travels the chain in reverse (Figure 2).
-        let done = ctx.execute(lane::TC, costs.tc_op * self.txs[&m.tx].chains.len() as u64);
+        let done = ctx.execute(lane::TC, TC_OP * self.txs[&m.tx].chains.len() as u64);
         let chains = {
             let tx = self.txs.get_mut(&m.tx).expect("checked above");
             tx.phase = TcPhase::Committing;
@@ -899,8 +920,7 @@ impl DatanodeActor {
         if !all_committed {
             return;
         }
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::TC, costs.tc_op);
+        let done = ctx.execute(lane::TC, TC_OP);
         // Send Complete to every backup replica of every chain.
         let (chains, delayed_ack, completed_needed) = {
             let tx = self.txs.get_mut(&m.tx).expect("checked above");
@@ -994,8 +1014,7 @@ impl DatanodeActor {
             // this unreachable; the chaos invariants assert it stays zero.
             self.stats.reads_served_while_recovering += 1;
         }
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::LDM, costs.ldm_read);
+        let done = ctx.execute(lane::LDM, LDM_READ);
         let data = self.store.get(&(req.table, req.key.pk)).and_then(|m| m.get(&req.key.suffix)).cloned();
         self.stats.reads_served += 1;
         let pid = self.pmap.partition_of(req.key.pk);
@@ -1034,7 +1053,6 @@ impl DatanodeActor {
             self.send_from(ctx, now, from, 48, LdmReadRefused { tx: m.tx, token: m.token });
             return;
         }
-        let costs = self.costs().clone();
         self.tx_coordinator.insert(m.tx, m.tc_idx);
         let rows: Vec<Row> = self
             .store
@@ -1048,7 +1066,7 @@ impl DatanodeActor {
                     .collect()
             })
             .unwrap_or_default();
-        let cost = costs.ldm_scan_base + costs.ldm_scan_row * rows.len() as u64;
+        let cost = LDM_SCAN_BASE + LDM_SCAN_ROW * rows.len() as u64;
         let done = ctx.execute(lane::LDM, cost);
         self.stats.scans_served += 1;
         let pid = self.pmap.partition_of(m.pk);
@@ -1080,8 +1098,7 @@ impl DatanodeActor {
             );
             return;
         }
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::LDM, costs.ldm_write);
+        let done = ctx.execute(lane::LDM, LDM_WRITE);
         self.stats.rows_prepared += 1;
         self.pending_writes.insert((m.tx, m.token), m.op.clone());
         let next_pos = m.pos as usize + 1;
@@ -1145,12 +1162,11 @@ impl DatanodeActor {
                 }
             }
         }
-        self.redo_pending += self.costs().redo_bytes_per_write;
+        self.redo_pending += REDO_BYTES_PER_WRITE;
     }
 
     fn on_commit_row(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, m: CommitRow) {
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::LDM, costs.ldm_write / 2);
+        let done = ctx.execute(lane::LDM, LDM_WRITE / 2);
         if let Some(op) = self.pending_writes.remove(&(m.tx, m.token)) {
             // Epoch-routing invariant: every applied write must land on a
             // node that owns the row's fragment under the committed or the
@@ -1190,8 +1206,7 @@ impl DatanodeActor {
     }
 
     fn on_complete_row(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, m: CompleteRow) {
-        let costs = self.costs().clone();
-        let done = ctx.execute(lane::LDM, costs.ldm_scan_row);
+        let done = ctx.execute(lane::LDM, LDM_SCAN_ROW);
         self.pending_writes.remove(&(m.tx, m.token));
         if let Some((table, key)) = self.row_of_token.remove(&(m.tx, m.token)) {
             let granted = self.locks.release_row(m.tx, table, &key);
@@ -1263,9 +1278,8 @@ impl DatanodeActor {
 
     fn on_tick_heartbeat(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let t = &self.view.config.timeouts;
-        let interval = t.heartbeat_interval;
-        let deadline = interval * t.heartbeat_misses as u64;
+        let interval = self.view.config.timeouts.heartbeat_interval;
+        let deadline = interval * HEARTBEAT_MISSES;
         let my = self.my_idx as u32;
         for i in 0..self.view.datanode_count() {
             if i == self.my_idx {
@@ -1394,8 +1408,7 @@ impl DatanodeActor {
         // the *settled* partition, not just the first peer to miss a beat.
         if !self.arb_requested {
             self.arb_requested = true;
-            let t = &self.view.config.timeouts;
-            let settle = t.heartbeat_interval * (t.heartbeat_misses as u64 + 1);
+            let settle = self.view.config.timeouts.heartbeat_interval * (HEARTBEAT_MISSES + 1);
             ctx.schedule(settle, ArbRequestDue);
         }
         let _ = now;
@@ -1413,15 +1426,14 @@ impl DatanodeActor {
 
     fn on_tick_arbitration(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let t = &self.view.config.timeouts;
         if self.last_arb_pong == SimTime::ZERO {
             self.last_arb_pong = now; // grace period at startup
         }
         let silent = now.saturating_since(self.last_arb_pong);
-        if silent > t.arbitration_timeout {
+        if silent > ARBITRATION_TIMEOUT {
             // Try the next management node.
             self.current_arb = (self.current_arb + 1) % self.view.mgmt_ids.len();
-            if self.suspect_since.is_some() && silent > t.arbitration_timeout * 2 {
+            if self.suspect_since.is_some() && silent > ARBITRATION_TIMEOUT * 2 {
                 // §IV-A2: nodes that cannot reach the arbitrator during a
                 // suspected partition shut down gracefully.
                 self.shutting_down = true;
@@ -1431,7 +1443,7 @@ impl DatanodeActor {
         }
         let to = self.view.mgmt_ids[self.current_arb];
         self.send_from(ctx, now, to, 32, ArbPing { from: self.my_idx as u32 });
-        ctx.schedule(t.arbitration_interval, TickArbitration);
+        ctx.schedule(self.view.config.timeouts.arbitration_interval, TickArbitration);
     }
 
     fn on_tick_gcp(&mut self, ctx: &mut Ctx<'_>) {
@@ -1465,7 +1477,7 @@ impl DatanodeActor {
                     }
                 }
                 TcPhase::Idle => {
-                    if now.saturating_since(tx.last_activity) > t.transaction_inactive {
+                    if now.saturating_since(tx.last_activity) > TRANSACTION_INACTIVE {
                         inactive.push(id);
                     }
                 }
@@ -1567,7 +1579,6 @@ impl DatanodeActor {
         if self.recovering {
             return; // cannot seed a copy while catching up myself
         }
-        let costs = self.costs().clone();
         let req_idx = m.from as usize;
         let view = Arc::clone(&self.view);
         let pmap = self.pmap.clone();
@@ -1606,7 +1617,7 @@ impl DatanodeActor {
                 .collect();
             done = ctx.execute(
                 lane::LDM,
-                costs.ldm_scan_base + costs.ldm_scan_row * rows.len() as u64,
+                LDM_SCAN_BASE + LDM_SCAN_ROW * rows.len() as u64,
             );
             let msg = CopyFrag { table, pk, rows };
             let bytes = msg.wire_size();
@@ -1624,9 +1635,8 @@ impl DatanodeActor {
         if !self.recovering && !migrating {
             return; // late snapshot from a previous attempt
         }
-        let costs = self.costs().clone();
         let bytes = m.wire_size();
-        ctx.execute(lane::LDM, costs.ldm_scan_base + (costs.ldm_write / 2) * m.rows.len() as u64);
+        ctx.execute(lane::LDM, LDM_SCAN_BASE + (LDM_WRITE / 2) * m.rows.len() as u64);
         let CopyFrag { table, pk: _, rows } = m;
         for row in rows {
             // A key written while recovering or migrating already holds a
@@ -1748,8 +1758,7 @@ impl DatanodeActor {
             return;
         }
         self.migrate = Some(MigratePull { scope, ..MigratePull::default() });
-        let t = &self.view.config.timeouts;
-        let settle = t.transaction_inactive + t.heartbeat_interval * 2;
+        let settle = TRANSACTION_INACTIVE + self.view.config.timeouts.heartbeat_interval * 2;
         ctx.schedule(settle, MigratePullsDue { epoch: m.epoch });
     }
 
@@ -1922,7 +1931,7 @@ impl DatanodeActor {
             });
             if gc_rows > 0 {
                 self.stats.gc_rows += gc_rows;
-                let cost = self.costs().ldm_scan_row * gc_rows;
+                let cost = LDM_SCAN_ROW * gc_rows;
                 ctx.execute(lane::LDM, cost);
             }
         }
@@ -1942,8 +1951,7 @@ impl DatanodeActor {
         st.reporters.insert(m.from);
         st.committed += m.committed;
         if first {
-            let t = &self.view.config.timeouts;
-            let settle = t.heartbeat_interval * (t.heartbeat_misses as u64 + 1);
+            let settle = self.view.config.timeouts.heartbeat_interval * (HEARTBEAT_MISSES + 1);
             ctx.schedule(settle, TakeOverDue { tx: m.tx });
         }
     }
@@ -1994,7 +2002,7 @@ impl DatanodeActor {
             .collect();
         tokens.sort_unstable();
         if !tokens.is_empty() {
-            let cost = (self.costs().ldm_write / 2) * tokens.len() as u64;
+            let cost = (LDM_WRITE / 2) * tokens.len() as u64;
             ctx.execute(lane::LDM, cost);
         }
         for token in tokens {

@@ -80,15 +80,12 @@ pub fn build_cluster(
 
     // Management nodes.
     let hb = view.config.timeouts.heartbeat_interval;
-    let failover = view.config.timeouts.mgmt_failover_deadline;
     for (rank, &az) in mgmt_azs.iter().enumerate() {
         let loc = Location { az, host: simnet::HostId(base + rank as u32) };
         let id = sim.add_node(
             NodeSpec::new(format!("ndb-mgmt-{rank}"), loc).with_layer("ndb-mgmt"),
             Box::new(
-                MgmtActor::new(rank, mgmt_ids.clone(), hb)
-                    .with_failover_deadline(failover)
-                    .with_datanodes(
+                MgmtActor::new(rank, mgmt_ids.clone(), hb).with_datanodes(
                         datanode_ids.clone(),
                         view.config.replication_factor,
                         view.config.active_node_groups(),
@@ -101,7 +98,7 @@ pub fn build_cluster(
     // Datanodes: Table II thread lanes + an NVMe-class disk for the redo log
     // and (in HopsFS) inlined small-file data.
     for i in 0..view.datanode_count() {
-        let lanes = view.config.threads.lane_specs(&view.config.costs);
+        let lanes = view.config.threads.lane_specs();
         let disk = Disk::new(1_200_000_000); // ~1.2 GB/s NVMe
         let spec = NodeSpec::new(format!("ndb-dn-{i}"), datanode_locations[i])
             .with_lanes(lanes)

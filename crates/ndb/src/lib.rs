@@ -38,7 +38,7 @@ pub mod testkit;
 pub mod view;
 
 pub use client::{ClientKernel, TxEvent};
-pub use config::{ClusterConfig, CostModel, DatanodeSpec, ThreadConfig, Timeouts};
+pub use config::{ClusterConfig, DatanodeSpec, ThreadConfig, Timeouts};
 pub use datanode::{DatanodeActor, DnStats};
 pub use deploy::{build_cluster, NdbCluster};
 pub use locks::TxId;

@@ -46,6 +46,11 @@ struct Reconfig {
 /// arbitrator forgets it (allows re-forming after recovery).
 const EPISODE_TTL: SimDuration = SimDuration::from_secs(5);
 
+/// Time without a heartbeat from a lower-ranked management node before this
+/// one considers it dead and takes over arbitration (NDB's management-server
+/// failover deadline).
+const FAILOVER_DEADLINE: SimDuration = SimDuration::from_millis(400);
+
 /// The management-node actor.
 pub struct MgmtActor {
     /// My index in the management list (0 = default arbitrator).
@@ -54,9 +59,6 @@ pub struct MgmtActor {
     mgmt_ids: Vec<NodeId>,
     /// Heartbeat period between management nodes.
     interval: SimDuration,
-    /// Time without a heartbeat from a lower-ranked peer before this node
-    /// considers it dead and takes over arbitration.
-    failover_deadline: SimDuration,
     /// Last heartbeat seen per management peer.
     last_hb: Vec<SimTime>,
     /// The cohort granted survival in the current episode, if any.
@@ -89,7 +91,6 @@ impl MgmtActor {
             my_rank,
             mgmt_ids,
             interval,
-            failover_deadline: interval * 4,
             last_hb: vec![SimTime::ZERO; n],
             episode: None,
             grants: 0,
@@ -102,13 +103,6 @@ impl MgmtActor {
             reconfig: None,
             reconfigs_committed: 0,
         }
-    }
-
-    /// Overrides the arbitrator failover deadline (defaults to four
-    /// heartbeat intervals).
-    pub fn with_failover_deadline(mut self, deadline: SimDuration) -> Self {
-        self.failover_deadline = deadline;
-        self
     }
 
     /// Wires the datanode fleet for online node-group reconfiguration:
@@ -151,8 +145,7 @@ impl MgmtActor {
     /// Whether this node currently believes it is the active arbitrator:
     /// every lower-ranked management node looks dead to it.
     fn is_active(&self, now: SimTime) -> bool {
-        let deadline = self.failover_deadline;
-        (0..self.my_rank).all(|r| now.saturating_since(self.last_hb[r]) > deadline)
+        (0..self.my_rank).all(|r| now.saturating_since(self.last_hb[r]) > FAILOVER_DEADLINE)
     }
 
     fn episode_cohort(&mut self, now: SimTime) -> Option<&FxHashSet<u32>> {

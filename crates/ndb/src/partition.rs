@@ -56,7 +56,7 @@ impl PartitionMap {
             cfg.node_group_count()
         );
         PartitionMap {
-            partitions: cfg.partitions_per_table,
+            partitions: cfg.partitions_per_table(),
             groups,
             replication: cfg.replication_factor,
         }

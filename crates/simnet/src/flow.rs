@@ -91,8 +91,7 @@ impl TokenBucket {
 
     /// How long after `now` until a whole token is available (`ZERO` when
     /// one already is). With a zero refill rate and an empty bucket this
-    /// saturates to [`SimDuration::MAX`]-ish (u64 nanos), which callers
-    /// should clamp.
+    /// saturates to `u64::MAX` nanoseconds, which callers should clamp.
     pub fn next_token_after(&mut self, now: SimTime) -> SimDuration {
         self.refill(now);
         if self.fill >= TOKEN_SCALE {

@@ -20,11 +20,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `BuildHasher` for [`FxHasher`]; `Default` makes maps via `::default()`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed through [`FxHasher`].
+/// A `HashMap` keyed through the deterministic Fx multiply-rotate hash.
 #[allow(clippy::disallowed_types)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed through [`FxHasher`].
+/// A `HashSet` keyed through the deterministic Fx multiply-rotate hash.
 #[allow(clippy::disallowed_types)]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 

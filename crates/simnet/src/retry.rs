@@ -4,24 +4,25 @@
 //! backoff in the namenode, fixed per-attempt timeouts in the FS client,
 //! fixed suspicion TTLs in the NDB client — which made recovery timing hard
 //! to reason about and impossible to tune coherently. [`RetryPolicy`] gives
-//! them one vocabulary: exponential backoff with a cap, a retry budget
-//! (`max_attempts`), deterministic jitter, and deadline propagation.
+//! them one vocabulary: doubling backoff with a cap and deterministic
+//! jitter. Retry budgets stay with the callers, which count attempts
+//! themselves.
 //!
 //! # Guarantees
 //!
-//! For a policy with `multiplier >= 1 + jitter` (enforced by the builders),
-//! the delay sequence for any fixed `salt` is:
+//! For a fixed `salt`, the delay sequence is:
 //!
 //! - **deterministic**: `delay(n, salt)` depends only on the policy, `n` and
 //!   `salt` — the same seed reproduces the same schedule;
-//! - **monotonically non-decreasing** in `n`;
+//! - **monotonically non-decreasing** in `n` (the jitter is at most 1, so a
+//!   stretched delay never passes the next doubled one);
 //! - **bounded** by `cap`.
 //!
 //! Jitter is decorrelated across callers by the `salt` argument (pass a
 //! request id, node id, or any stable identifier); two clients retrying the
 //! same failure do not stampede in lockstep.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// splitmix64: tiny, high-quality mixing for deterministic jitter.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
@@ -31,98 +32,62 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// An exponential-backoff retry policy with cap, budget and deterministic
-/// jitter. Copyable and cheap; embed it in configs.
+/// A doubling-backoff retry policy with cap and deterministic jitter.
+/// Copyable and cheap; usable in `const` items.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// First backoff delay.
     pub base: SimDuration,
     /// Upper bound on any delay.
     pub cap: SimDuration,
-    /// Geometric growth factor per attempt (>= 1).
-    pub multiplier: u32,
     /// Jitter fraction in `[0, 1]`: each delay is stretched by up to
     /// `jitter * delay`, deterministically from the salt.
     pub jitter: f64,
-    /// Retry budget: total tries allowed (first try included).
-    /// `u32::MAX` means unbounded.
-    pub max_attempts: u32,
 }
 
 impl RetryPolicy {
-    /// Exponential backoff from `base` doubling up to `cap`, 10% jitter,
-    /// unbounded attempts.
+    /// Backoff from `base` doubling up to `cap`, with 10% jitter.
     ///
     /// # Panics
     ///
     /// Panics if `base > cap` or `base` is zero.
-    pub fn new(base: SimDuration, cap: SimDuration) -> Self {
-        assert!(base > SimDuration::ZERO, "base delay must be positive");
-        assert!(base <= cap, "base delay must not exceed the cap");
-        RetryPolicy { base, cap, multiplier: 2, jitter: 0.1, max_attempts: u32::MAX }
-    }
-
-    /// Sets the retry budget (total tries, first try included).
-    pub fn with_max_attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n;
-        self
+    pub const fn new(base: SimDuration, cap: SimDuration) -> Self {
+        assert!(base.as_nanos() > 0, "base delay must be positive");
+        assert!(base.as_nanos() <= cap.as_nanos(), "base delay must not exceed the cap");
+        RetryPolicy { base, cap, jitter: 0.1 }
     }
 
     /// Sets the jitter fraction.
     ///
     /// # Panics
     ///
-    /// Panics if `jitter` is outside `[0, 1]` or would break monotonicity
-    /// (`jitter > multiplier - 1`).
-    pub fn with_jitter(mut self, jitter: f64) -> Self {
-        assert!((0.0..=1.0).contains(&jitter), "jitter must be in [0, 1]");
-        assert!(
-            jitter <= (self.multiplier - 1) as f64,
-            "jitter above multiplier-1 breaks monotonicity"
-        );
+    /// Panics if `jitter` is outside `[0, 1]` (above 1 a stretched delay
+    /// could pass the next doubled one and break monotonicity).
+    pub const fn with_jitter(mut self, jitter: f64) -> Self {
+        assert!(jitter >= 0.0 && jitter <= 1.0, "jitter must be in [0, 1]");
         self.jitter = jitter;
         self
     }
 
-    /// Sets the growth multiplier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `multiplier` is zero or too small for the current jitter.
-    pub fn with_multiplier(mut self, multiplier: u32) -> Self {
-        assert!(multiplier >= 1, "multiplier must be at least 1");
-        assert!(
-            self.jitter <= (multiplier - 1) as f64,
-            "multiplier too small for the configured jitter"
-        );
-        self.multiplier = multiplier;
-        self
-    }
-
-    /// Un-jittered delay for the `attempt`-th retry (0-based): geometric
-    /// growth clamped to `cap`.
+    /// Un-jittered delay for the `attempt`-th retry (0-based): doubling
+    /// clamped to `cap`.
     fn raw(&self, attempt: u32) -> SimDuration {
         let mut d = self.base;
         for _ in 0..attempt {
             if d >= self.cap {
                 return self.cap;
             }
-            d = SimDuration::from_nanos(d.as_nanos().saturating_mul(u64::from(self.multiplier)));
+            d = SimDuration::from_nanos(d.as_nanos().saturating_mul(2));
         }
         d.min(self.cap)
     }
 
     /// The backoff to wait before retry number `attempt` (0-based: pass 0
-    /// after the first failure). Returns `None` when the retry budget is
-    /// exhausted — the caller should give up.
+    /// after the first failure).
     ///
     /// `salt` decorrelates jitter across callers; the result is a pure
     /// function of `(policy, attempt, salt)`.
-    pub fn delay(&self, attempt: u32, salt: u64) -> Option<SimDuration> {
-        // Try 1 is the initial attempt; retry `attempt` is try `attempt + 2`.
-        if attempt.saturating_add(2) > self.max_attempts {
-            return None;
-        }
+    pub fn delay(&self, attempt: u32, salt: u64) -> SimDuration {
         let raw = self.raw(attempt);
         let jittered = if self.jitter > 0.0 {
             let bits = splitmix64(salt ^ (u64::from(attempt) << 32 | 0x5EED));
@@ -131,7 +96,7 @@ impl RetryPolicy {
         } else {
             raw
         };
-        Some(jittered.min(self.cap))
+        jittered.min(self.cap)
     }
 
     /// Server-hint variant: when the peer answered with an explicit
@@ -141,46 +106,20 @@ impl RetryPolicy {
     /// deterministically from `(attempt, salt)`, so clients shed in the
     /// same instant spread back out instead of stampeding in lockstep.
     ///
-    /// The retry budget (`max_attempts`) still applies; a zero hint falls
-    /// back to the ordinary [`RetryPolicy::delay`] schedule. The policy
-    /// `cap` intentionally does **not** clamp the hint — the server's word
-    /// wins over the client's local curve.
-    pub fn delay_after_hint(
-        &self,
-        hint: SimDuration,
-        attempt: u32,
-        salt: u64,
-    ) -> Option<SimDuration> {
-        if attempt.saturating_add(2) > self.max_attempts {
-            return None;
-        }
+    /// A zero hint falls back to the ordinary [`RetryPolicy::delay`]
+    /// schedule. The policy `cap` intentionally does **not** clamp the hint
+    /// — the server's word wins over the client's local curve.
+    pub fn delay_after_hint(&self, hint: SimDuration, attempt: u32, salt: u64) -> SimDuration {
         if hint == SimDuration::ZERO {
             return self.delay(attempt, salt);
         }
-        let jittered = if self.jitter > 0.0 {
+        if self.jitter > 0.0 {
             let bits = splitmix64(salt ^ (u64::from(attempt) << 32 | 0xA3C5));
             let frac = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
             hint + hint.mul_f64(self.jitter * frac)
         } else {
             hint
-        };
-        Some(jittered)
-    }
-
-    /// Deadline-propagating variant: like [`RetryPolicy::delay`], but also
-    /// gives up when the retry would start after `deadline`.
-    pub fn delay_within(
-        &self,
-        attempt: u32,
-        salt: u64,
-        now: SimTime,
-        deadline: SimTime,
-    ) -> Option<SimDuration> {
-        let d = self.delay(attempt, salt)?;
-        if now + d > deadline {
-            return None;
         }
-        Some(d)
     }
 }
 
@@ -195,17 +134,8 @@ mod tests {
     #[test]
     fn grows_geometrically_to_the_cap() {
         let p = RetryPolicy::new(ms(4), ms(32)).with_jitter(0.0);
-        let d: Vec<u64> = (0..6).map(|i| p.delay(i, 0).unwrap().as_nanos() / 1_000_000).collect();
+        let d: Vec<u64> = (0..6).map(|i| p.delay(i, 0).as_nanos() / 1_000_000).collect();
         assert_eq!(d, vec![4, 8, 16, 32, 32, 32]);
-    }
-
-    #[test]
-    fn budget_exhausts() {
-        let p = RetryPolicy::new(ms(1), ms(8)).with_max_attempts(3);
-        // 3 total tries = 2 retries: delay(0), delay(1), then None.
-        assert!(p.delay(0, 7).is_some());
-        assert!(p.delay(1, 7).is_some());
-        assert!(p.delay(2, 7).is_none());
     }
 
     #[test]
@@ -222,7 +152,7 @@ mod tests {
         for salt in [1u64, 99, 12345] {
             let mut prev = SimDuration::ZERO;
             for i in 0..20 {
-                let d = p.delay(i, salt).unwrap();
+                let d = p.delay(i, salt);
                 assert!(d >= prev, "delay({i}) = {d} < {prev}");
                 assert!(d <= p.cap);
                 prev = d;
@@ -234,8 +164,8 @@ mod tests {
     fn hint_overrides_the_exponential_curve() {
         let p = RetryPolicy::new(ms(4), ms(32)).with_jitter(0.0);
         // The server hint wins, even above the policy cap.
-        assert_eq!(p.delay_after_hint(ms(200), 0, 1), Some(ms(200)));
-        assert_eq!(p.delay_after_hint(ms(200), 5, 1), Some(ms(200)));
+        assert_eq!(p.delay_after_hint(ms(200), 0, 1), ms(200));
+        assert_eq!(p.delay_after_hint(ms(200), 5, 1), ms(200));
         // A zero hint falls back to the normal schedule.
         assert_eq!(p.delay_after_hint(SimDuration::ZERO, 1, 1), p.delay(1, 1));
     }
@@ -247,31 +177,15 @@ mod tests {
         assert_eq!(p.delay_after_hint(hint, 2, 77), p.delay_after_hint(hint, 2, 77));
         assert_ne!(p.delay_after_hint(hint, 2, 1), p.delay_after_hint(hint, 2, 2));
         for salt in [0u64, 1, 42, 9999] {
-            let d = p.delay_after_hint(hint, 0, salt).unwrap();
+            let d = p.delay_after_hint(hint, 0, salt);
             assert!(d >= hint, "hint is a floor: {d}");
             assert!(d < hint + hint.mul_f64(0.5), "jitter bounded: {d}");
         }
     }
 
     #[test]
-    fn hint_respects_the_retry_budget() {
-        let p = RetryPolicy::new(ms(1), ms(8)).with_max_attempts(3);
-        assert!(p.delay_after_hint(ms(10), 0, 7).is_some());
-        assert!(p.delay_after_hint(ms(10), 1, 7).is_some());
-        assert!(p.delay_after_hint(ms(10), 2, 7).is_none());
-    }
-
-    #[test]
-    fn deadline_propagation_gives_up_early() {
-        let p = RetryPolicy::new(ms(100), ms(100)).with_jitter(0.0);
-        let now = SimTime::from_millis(500);
-        assert!(p.delay_within(0, 0, now, SimTime::from_millis(600)).is_some());
-        assert!(p.delay_within(0, 0, now, SimTime::from_millis(599)).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "monotonicity")]
-    fn rejects_jitter_beyond_multiplier() {
-        let _ = RetryPolicy::new(ms(1), ms(2)).with_jitter(0.0).with_multiplier(1).with_jitter(0.5);
+    #[should_panic(expected = "jitter must be in [0, 1]")]
+    fn rejects_jitter_above_one() {
+        let _ = RetryPolicy::new(ms(1), ms(2)).with_jitter(1.5);
     }
 }

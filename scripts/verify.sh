@@ -43,6 +43,9 @@ BENCH_SMOKE=1 BENCH_REUSE=0 cargo bench -q -p bench --bench fig_elastic >/dev/nu
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 # Tier 2 (opt-in: VERIFY_TIER2=1 or --tier2): run every figure bench as a
 # smoke cell three times — serial (--threads 1), fanned out (--threads 4),
 # and fanned out on the sharded kernel (--threads 4, BENCH_SHARDS=4) — into
