@@ -36,6 +36,10 @@ pub(crate) const MAX_ATTEMPTS: u32 = 6;
 const BACKOFF_BASE: SimDuration = SimDuration::from_millis(50);
 /// Longest backoff between resends (server retry-after hints may exceed it).
 const BACKOFF_CAP: SimDuration = SimDuration::from_millis(800);
+/// Backoff between resends, jittered per (client, request) so a namenode
+/// crash does not stampede every client onto the same survivor at the same
+/// instant. The budget is [`MAX_ATTEMPTS`].
+const BACKOFF: RetryPolicy = RetryPolicy::new(BACKOFF_BASE, BACKOFF_CAP);
 /// How long an active-list fetch may go unanswered before it is re-sent.
 const LIST_REFETCH: SimDuration = SimDuration::from_millis(900);
 
@@ -68,10 +72,6 @@ pub(crate) struct Session {
     /// same order every run. The closed loop holds at most one entry.
     inflight: BTreeMap<u64, Inflight>,
     next_req: u64,
-    /// Backoff between resends, jittered per (client, request) so a
-    /// namenode crash does not stampede every client onto the same survivor
-    /// at the same instant. The budget is [`MAX_ATTEMPTS`].
-    backoff: RetryPolicy,
     /// An active-list fetch is out and unanswered.
     awaiting_list: bool,
     list_sent_at: SimTime,
@@ -84,7 +84,6 @@ impl Session {
             stats,
             inflight: BTreeMap::new(),
             next_req: 0,
-            backoff: RetryPolicy::new(BACKOFF_BASE, BACKOFF_CAP),
             awaiting_list: false,
             list_sent_at: SimTime::ZERO,
         }
@@ -271,8 +270,8 @@ impl Session {
         }
         let retry = p.attempt - 2;
         let (d, span) = match hint {
-            Some(h) => (self.backoff.delay_after_hint(h, retry, salt), "overload_backoff"),
-            None => (self.backoff.delay(retry, salt), "backoff"),
+            Some(h) => (BACKOFF.delay_after_hint(h, retry, salt), "overload_backoff"),
+            None => (BACKOFF.delay(retry, salt), "backoff"),
         };
         // Mask the op timeout until the resend fires.
         p.sent_at = now + d;

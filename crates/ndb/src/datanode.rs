@@ -202,6 +202,78 @@ enum LockCont {
     Prepare(PrepareRow),
 }
 
+/// A lock request waiting for its grant.
+#[derive(Debug)]
+struct QueuedLock {
+    /// The read or prepare to resume on grant.
+    cont: LockCont,
+    /// When the request started waiting, and the op span it belongs to —
+    /// drives the `lock_wait_ns` histogram and lock spans.
+    since: SimTime,
+    span: simnet::SpanId,
+}
+
+/// LDM state of one token (row operation) of a transaction.
+#[derive(Debug)]
+struct LdmToken {
+    token: u64,
+    /// Row locked by this 2PC token, for the per-row releases of the commit
+    /// protocol.
+    row: Option<(TableId, RowKey)>,
+    /// Prepared write awaiting commit.
+    write: Option<WriteOp>,
+    /// Lock request waiting for a grant (boxed: waits are rare, and the
+    /// continuation is most of the record's size).
+    queued: Option<Box<QueuedLock>>,
+}
+
+/// Everything the LDM role holds for one transaction.
+///
+/// Created only when the LDM takes state for the transaction: a locking
+/// read or a prepare. Read-committed reads and scans create nothing. Removed
+/// only by `release_tx_local` (`ReleaseTx`, take-over resolution, or the
+/// take-over deadline).
+#[derive(Debug, Default)]
+struct LdmTx {
+    /// Datanode index of the coordinator; `None` once it died and the
+    /// transaction was reported to a take-over TC.
+    tc: Option<u32>,
+    /// Per-token state, in arrival order (a handful per transaction).
+    tokens: Vec<LdmToken>,
+    /// Rows this LDM already applied at commit — the commit evidence
+    /// reported during TC take-over.
+    committed: u32,
+    /// Set when the transaction was reported to a remote take-over TC: past
+    /// this deadline, this node falls back to releasing locally.
+    takeover_deadline: Option<SimTime>,
+}
+
+impl LdmTx {
+    /// The state of `token`, created empty on first use.
+    fn entry(&mut self, token: u64) -> &mut LdmToken {
+        let i = match self.tokens.iter().position(|t| t.token == token) {
+            Some(i) => i,
+            None => {
+                self.tokens.push(LdmToken { token, row: None, write: None, queued: None });
+                self.tokens.len() - 1
+            }
+        };
+        &mut self.tokens[i]
+    }
+
+    fn get_mut(&mut self, token: u64) -> Option<&mut LdmToken> {
+        self.tokens.iter_mut().find(|t| t.token == token)
+    }
+
+    /// Tokens holding a prepared write, in token order.
+    fn prepared(&self) -> Vec<u64> {
+        let mut tokens: Vec<u64> =
+            self.tokens.iter().filter(|t| t.write.is_some()).map(|t| t.token).collect();
+        tokens.sort_unstable();
+        tokens
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TcPhase {
     Idle,
@@ -232,7 +304,7 @@ struct TcTx {
     read_results: Vec<Option<Bytes>>,
     reads_outstanding: usize,
     // Commit step: (token, replica chain) per written row.
-    chains: Vec<(u64, Vec<u32>)>,
+    chains: Vec<(u64, Arc<[u32]>)>,
     prepared: usize,
     committed: usize,
     completed: usize,
@@ -315,22 +387,9 @@ pub struct DatanodeActor {
     // LDM role.
     store: FxHashMap<(TableId, PartitionKey), BTreeMap<Bytes, Bytes>>,
     locks: LockManager,
-    lock_conts: FxHashMap<(TxId, u64), LockCont>,
-    /// When each queued lock request started waiting, and the op span it
-    /// belongs to — drives the `lock_wait_ns` histogram and lock spans.
-    lock_queued: FxHashMap<(TxId, u64), (SimTime, simnet::SpanId)>,
-    pending_writes: FxHashMap<(TxId, u64), WriteOp>,
-    /// Row locked by each in-flight 2PC token at this node, for the
-    /// per-row releases of the commit protocol.
-    row_of_token: FxHashMap<(TxId, u64), (TableId, RowKey)>,
-    /// Which datanode coordinates each transaction touching me (take-over).
-    tx_coordinator: FxHashMap<TxId, u32>,
-    /// Rows of each in-flight transaction this LDM has already applied at
-    /// commit — the commit evidence reported during TC take-over.
-    commit_applied: FxHashMap<TxId, u32>,
-    /// Orphaned transactions reported to a take-over TC, with the deadline
-    /// after which this node falls back to releasing locally.
-    awaiting_takeover: FxHashMap<TxId, SimTime>,
+    /// Per-transaction LDM state: queued lock requests, locked rows,
+    /// prepared writes, coordinator and take-over bookkeeping.
+    ldm_txs: FxHashMap<TxId, LdmTx>,
     /// Take-over TC role: reports collected per orphaned transaction.
     takeover: BTreeMap<TxId, TakeOverState>,
     redo_pending: u64,
@@ -370,13 +429,7 @@ impl DatanodeActor {
             resync_progress_mark: 0,
             store: FxHashMap::default(),
             locks: LockManager::default(),
-            lock_conts: FxHashMap::default(),
-            lock_queued: FxHashMap::default(),
-            pending_writes: FxHashMap::default(),
-            row_of_token: FxHashMap::default(),
-            tx_coordinator: FxHashMap::default(),
-            commit_applied: FxHashMap::default(),
-            awaiting_takeover: FxHashMap::default(),
+            ldm_txs: FxHashMap::default(),
             takeover: BTreeMap::new(),
             redo_pending: 0,
             txs: FxHashMap::default(),
@@ -791,7 +844,8 @@ impl DatanodeActor {
                 }
                 let token = tx.next_token();
                 let first = chain[0];
-                tx.chains.push((token, chain.clone()));
+                let chain: Arc<[u32]> = chain.into();
+                tx.chains.push((token, Arc::clone(&chain)));
                 sends.push((
                     first,
                     PrepareRow { tx: tx_id, token, chain, pos: 0, op, tc_idx: my_idx, epoch },
@@ -884,18 +938,15 @@ impl DatanodeActor {
         // All rows prepared: send Commit to the LAST node of each chain; the
         // message travels the chain in reverse (Figure 2).
         let done = ctx.execute(lane::TC, TC_OP * self.txs[&m.tx].chains.len() as u64);
-        let chains = {
-            let tx = self.txs.get_mut(&m.tx).expect("checked above");
-            tx.phase = TcPhase::Committing;
-            tx.step_started = ctx.now();
-            tx.chains.clone()
-        };
-        for (token, chain) in &chains {
+        let tx = self.txs.get_mut(&m.tx).expect("checked above");
+        tx.phase = TcPhase::Committing;
+        tx.step_started = ctx.now();
+        for (token, chain) in &self.txs[&m.tx].chains {
             let last = *chain.last().expect("chains are non-empty");
             let msg = CommitRow {
                 tx: m.tx,
                 token: *token,
-                chain: chain.clone(),
+                chain: Arc::clone(chain),
                 pos: (chain.len() - 1) as u8,
                 tc_idx: my_idx,
             };
@@ -922,13 +973,11 @@ impl DatanodeActor {
         }
         let done = ctx.execute(lane::TC, TC_OP);
         // Send Complete to every backup replica of every chain.
-        let (chains, delayed_ack, completed_needed) = {
-            let tx = self.txs.get_mut(&m.tx).expect("checked above");
-            tx.phase = TcPhase::Completing;
-            tx.step_started = ctx.now();
-            (tx.chains.clone(), tx.delayed_ack, tx.completed_needed)
-        };
-        for (token, chain) in &chains {
+        let tx = self.txs.get_mut(&m.tx).expect("checked above");
+        tx.phase = TcPhase::Completing;
+        tx.step_started = ctx.now();
+        let (delayed_ack, completed_needed) = (tx.delayed_ack, tx.completed_needed);
+        for (token, chain) in &self.txs[&m.tx].chains {
             for &backup in chain.iter().skip(1) {
                 let to = self.dn_node(backup);
                 self.send_from(ctx, done, to, 64, CompleteRow { tx: m.tx, token: *token });
@@ -1033,13 +1082,11 @@ impl DatanodeActor {
             self.send_from(ctx, now, from, 48, LdmReadRefused { tx: m.tx, token: m.token });
             return;
         }
-        self.tx_coordinator.insert(m.tx, m.tc_idx);
         if m.mode.is_locking() {
+            self.ldm_txs.entry(m.tx).or_default().tc = Some(m.tc_idx);
             let acq = self.locks.acquire(m.tx, m.table, m.key.clone(), m.mode, m.token);
             if !acq.is_granted() {
-                self.stats.lock_waits += 1;
-                self.lock_queued.insert((m.tx, m.token), (ctx.now(), ctx.current_span()));
-                self.lock_conts.insert((m.tx, m.token), LockCont::Read { requester: from, req: m });
+                self.queue_lock(ctx, m.tx, m.token, LockCont::Read { requester: from, req: m });
                 return;
             }
         }
@@ -1053,7 +1100,6 @@ impl DatanodeActor {
             self.send_from(ctx, now, from, 48, LdmReadRefused { tx: m.tx, token: m.token });
             return;
         }
-        self.tx_coordinator.insert(m.tx, m.tc_idx);
         let rows: Vec<Row> = self
             .store
             .get(&(m.table, m.pk))
@@ -1083,10 +1129,8 @@ impl DatanodeActor {
             // epoch commit. Refuse now rather than apply under a map that
             // is no longer in force (the TC aborts; the client re-routes).
             self.stats.epoch_refusals += 1;
-            if let Some((table, key)) = self.row_of_token.remove(&(m.tx, m.token)) {
-                let granted = self.locks.release_row(m.tx, table, &key);
-                self.resume_grants(ctx, granted);
-            }
+            let row = self.ldm_token(m.tx, m.token).and_then(|t| t.row.take());
+            self.release_row(ctx, m.tx, row);
             let now = ctx.now();
             let to = self.dn_node(m.tc_idx);
             self.send_from(
@@ -1100,7 +1144,9 @@ impl DatanodeActor {
         }
         let done = ctx.execute(lane::LDM, LDM_WRITE);
         self.stats.rows_prepared += 1;
-        self.pending_writes.insert((m.tx, m.token), m.op.clone());
+        if let Some(t) = self.ldm_token(m.tx, m.token) {
+            t.write = Some(m.op.clone());
+        }
         let next_pos = m.pos as usize + 1;
         if next_pos < m.chain.len() {
             let to = self.dn_node(m.chain[next_pos]);
@@ -1131,13 +1177,12 @@ impl DatanodeActor {
             );
             return;
         }
-        self.tx_coordinator.insert(m.tx, m.tc_idx);
-        self.row_of_token.insert((m.tx, m.token), (m.op.table(), m.op.key().clone()));
+        let ltx = self.ldm_txs.entry(m.tx).or_default();
+        ltx.tc = Some(m.tc_idx);
+        ltx.entry(m.token).row = Some((m.op.table(), m.op.key().clone()));
         let acq = self.locks.acquire(m.tx, m.op.table(), m.op.key().clone(), LockMode::Exclusive, m.token);
         if !acq.is_granted() {
-            self.stats.lock_waits += 1;
-            self.lock_queued.insert((m.tx, m.token), (ctx.now(), ctx.current_span()));
-            self.lock_conts.insert((m.tx, m.token), LockCont::Prepare(m));
+            self.queue_lock(ctx, m.tx, m.token, LockCont::Prepare(m));
             return;
         }
         self.prepare_apply(ctx, m);
@@ -1167,7 +1212,14 @@ impl DatanodeActor {
 
     fn on_commit_row(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, m: CommitRow) {
         let done = ctx.execute(lane::LDM, LDM_WRITE / 2);
-        if let Some(op) = self.pending_writes.remove(&(m.tx, m.token)) {
+        // Commit evidence for TC take-over: if the coordinator dies, any
+        // applied row proves the decision was commit.
+        let prepared = self.ldm_txs.get_mut(&m.tx).and_then(|ltx| {
+            let op = ltx.get_mut(m.token)?.write.take()?;
+            ltx.committed += 1;
+            Some(op)
+        });
+        if let Some(op) = prepared {
             // Epoch-routing invariant: every applied write must land on a
             // node that owns the row's fragment under the committed or the
             // pending map (or is catching up via node recovery). The
@@ -1183,9 +1235,6 @@ impl DatanodeActor {
             }
             self.apply_write(&op);
             self.stats.rows_committed += 1;
-            // Commit evidence for TC take-over: if the coordinator dies,
-            // any applied row proves the decision was commit.
-            *self.commit_applied.entry(m.tx).or_insert(0) += 1;
         }
         if m.pos > 0 {
             // Keep traveling the chain in reverse; backups keep their locks
@@ -1196,10 +1245,8 @@ impl DatanodeActor {
             self.send_from(ctx, done, to, 72, fwd);
         } else {
             // Primary: commit point — release this row's lock and tell the TC.
-            if let Some((table, key)) = self.row_of_token.remove(&(m.tx, m.token)) {
-                let granted = self.locks.release_row(m.tx, table, &key);
-                self.resume_grants(ctx, granted);
-            }
+            let row = self.ldm_token(m.tx, m.token).and_then(|t| t.row.take());
+            self.release_row(ctx, m.tx, row);
             let to = self.dn_node(m.tc_idx);
             self.send_from(ctx, done, to, 48, CommittedRow { tx: m.tx, token: m.token });
         }
@@ -1207,11 +1254,11 @@ impl DatanodeActor {
 
     fn on_complete_row(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, m: CompleteRow) {
         let done = ctx.execute(lane::LDM, LDM_SCAN_ROW);
-        self.pending_writes.remove(&(m.tx, m.token));
-        if let Some((table, key)) = self.row_of_token.remove(&(m.tx, m.token)) {
-            let granted = self.locks.release_row(m.tx, table, &key);
-            self.resume_grants(ctx, granted);
-        }
+        let row = self.ldm_token(m.tx, m.token).and_then(|t| {
+            t.write = None;
+            t.row.take()
+        });
+        self.release_row(ctx, m.tx, row);
         // Reply Completed to the TC (the sender of CompleteRow).
         let to = _from;
         self.send_from(ctx, done, to, 48, CompletedRow { tx: m.tx, token: m.token });
@@ -1221,35 +1268,54 @@ impl DatanodeActor {
         self.release_tx_local(ctx, m.tx);
     }
 
-    /// Abandons queued lock requests and pending writes of the tx and
-    /// releases its locks (shared by `ReleaseTx` and take-over abort).
+    /// Drops all LDM state of the tx (queued lock requests, prepared
+    /// writes, take-over bookkeeping) and releases its locks: the one place
+    /// an [`LdmTx`] ends (`ReleaseTx`, take-over resolution and fallback).
     fn release_tx_local(&mut self, ctx: &mut Ctx<'_>, tx: TxId) {
-        self.lock_conts.retain(|(t, _), _| *t != tx);
-        self.lock_queued.retain(|(t, _), _| *t != tx);
-        self.pending_writes.retain(|(t, _), _| *t != tx);
-        self.row_of_token.retain(|(t, _), _| *t != tx);
-        self.tx_coordinator.remove(&tx);
-        self.commit_applied.remove(&tx);
-        self.awaiting_takeover.remove(&tx);
+        self.ldm_txs.remove(&tx);
         let granted = self.locks.release_all(tx);
         self.resume_grants(ctx, granted);
     }
 
+    /// The state of one token of a transaction this LDM holds state for.
+    fn ldm_token(&mut self, tx: TxId, token: u64) -> Option<&mut LdmToken> {
+        self.ldm_txs.get_mut(&tx)?.get_mut(token)
+    }
+
+    /// Parks a read or prepare whose lock request queued.
+    fn queue_lock(&mut self, ctx: &mut Ctx<'_>, tx: TxId, token: u64, cont: LockCont) {
+        self.stats.lock_waits += 1;
+        let queued = Box::new(QueuedLock { cont, since: ctx.now(), span: ctx.current_span() });
+        self.ldm_txs.entry(tx).or_default().entry(token).queued = Some(queued);
+    }
+
+    /// Releases one row lock a 2PC token held, resuming the waiters it
+    /// grants.
+    fn release_row(&mut self, ctx: &mut Ctx<'_>, tx: TxId, row: Option<(TableId, RowKey)>) {
+        if let Some((table, key)) = row {
+            let granted = self.locks.release_row(tx, table, &key);
+            self.resume_grants(ctx, granted);
+        }
+    }
+
     fn resume_grants(&mut self, ctx: &mut Ctx<'_>, granted: Vec<Waiter>) {
         for w in granted {
-            if let Some((queued_at, span)) = self.lock_queued.remove(&(w.tx, w.token)) {
-                let now = ctx.now();
-                let layer = ctx.layer();
-                ctx.metrics().record_hist(layer, "lock_wait_ns", now.saturating_since(queued_at).as_nanos());
-                ctx.span_at("lock-wait", "lock", span, queued_at, now);
-                // The grant resumes another transaction's work; attribute the
-                // downstream read/prepare to *its* op, not the releaser's.
-                ctx.set_span(span);
-            }
-            match self.lock_conts.remove(&(w.tx, w.token)) {
-                Some(LockCont::Read { requester, req }) => self.serve_read(ctx, requester, &req),
-                Some(LockCont::Prepare(m)) => self.prepare_apply(ctx, m),
-                None => {} // grant without continuation: re-entrant bookkeeping
+            // A grant without continuation is re-entrant bookkeeping, or a
+            // request dropped when its coordinator died.
+            let Some(q) = self.ldm_token(w.tx, w.token).and_then(|t| t.queued.take()) else {
+                continue;
+            };
+            let QueuedLock { cont, since, span } = *q;
+            let now = ctx.now();
+            let layer = ctx.layer();
+            ctx.metrics().record_hist(layer, "lock_wait_ns", now.saturating_since(since).as_nanos());
+            ctx.span_at("lock-wait", "lock", span, since, now);
+            // The grant resumes another transaction's work; attribute the
+            // downstream read/prepare to *its* op, not the releaser's.
+            ctx.set_span(span);
+            match cont {
+                LockCont::Read { requester, req } => self.serve_read(ctx, requester, &req),
+                LockCont::Prepare(m) => self.prepare_apply(ctx, m),
             }
         }
     }
@@ -1357,40 +1423,33 @@ impl DatanodeActor {
             .group_members(self.view.config.node_group_of(idx))
             .find(|&i| i != idx && self.alive[i] && self.synced[i]);
         let mut orphans: Vec<TxId> = self
-            .tx_coordinator
+            .ldm_txs
             .iter()
-            .filter(|&(_, &tc)| tc as usize == idx)
+            .filter(|(_, ltx)| ltx.tc == Some(idx as u32))
             .map(|(&tx, _)| tx)
             .collect();
         orphans.sort_unstable();
         for tx in orphans {
-            self.tx_coordinator.remove(&tx);
+            let Some(ltx) = self.ldm_txs.get_mut(&tx) else { continue };
+            ltx.tc = None;
             // Queued lock requests would answer to a dead TC: drop them.
-            self.lock_conts.retain(|(t, _), _| *t != tx);
-            self.lock_queued.retain(|(t, _), _| *t != tx);
+            for t in &mut ltx.tokens {
+                t.queued = None;
+            }
             match takeover_tc {
                 Some(t) => {
-                    let mut prepared: Vec<u64> = self
-                        .pending_writes
-                        .keys()
-                        .filter(|(txid, _)| *txid == tx)
-                        .map(|&(_, token)| token)
-                        .collect();
-                    prepared.sort_unstable();
-                    let committed = self.commit_applied.get(&tx).copied().unwrap_or(0);
                     let report = TakeOverReport {
                         from: self.my_idx as u32,
                         tx,
                         dead: idx as u32,
-                        prepared,
-                        committed,
+                        prepared: ltx.prepared(),
+                        committed: ltx.committed,
                     };
                     if t == self.my_idx {
                         self.accept_takeover_report(ctx, report);
                     } else {
-                        let deadline =
-                            now + self.view.config.timeouts.transaction_deadlock_detection * 6;
-                        self.awaiting_takeover.insert(tx, deadline);
+                        ltx.takeover_deadline =
+                            Some(now + self.view.config.timeouts.transaction_deadlock_detection * 6);
                         let to = self.dn_node(t as u32);
                         self.send_from(ctx, now, to, 96, report);
                     }
@@ -1497,9 +1556,9 @@ impl DatanodeActor {
         // (it died too, or the report was lost), release locally so the
         // locks do not leak.
         let mut expired: Vec<TxId> = self
-            .awaiting_takeover
+            .ldm_txs
             .iter()
-            .filter(|&(_, &deadline)| now > deadline)
+            .filter(|(_, ltx)| ltx.takeover_deadline.is_some_and(|deadline| now > deadline))
             .map(|(&tx, _)| tx)
             .collect();
         expired.sort_unstable();
@@ -1899,21 +1958,24 @@ impl DatanodeActor {
         // the row via the union chain.
         if !self.recovering {
             let mut stale: Vec<(TxId, u64)> = self
-                .pending_writes
+                .ldm_txs
                 .iter()
-                .filter(|(_, op)| {
-                    let options = view.schema.table(op.table()).options;
-                    !pmap.stores(my, pmap.partition_of(op.key().pk), options)
+                .flat_map(|(&tx, ltx)| ltx.tokens.iter().map(move |t| (tx, t)))
+                .filter(|(_, t)| {
+                    t.write.as_ref().is_some_and(|op| {
+                        let options = view.schema.table(op.table()).options;
+                        !pmap.stores(my, pmap.partition_of(op.key().pk), options)
+                    })
                 })
-                .map(|(&k, _)| k)
+                .map(|(tx, t)| (tx, t.token))
                 .collect();
             stale.sort_unstable();
             for (tx, token) in stale {
-                self.pending_writes.remove(&(tx, token));
-                if let Some((table, key)) = self.row_of_token.remove(&(tx, token)) {
-                    let granted = self.locks.release_row(tx, table, &key);
-                    self.resume_grants(ctx, granted);
-                }
+                let row = self.ldm_token(tx, token).and_then(|t| {
+                    t.write = None;
+                    t.row.take()
+                });
+                self.release_row(ctx, tx, row);
             }
         }
         // GC fragments not owned under the committed map (skipped while
@@ -1970,7 +2032,7 @@ impl DatanodeActor {
         // any applied row anywhere means the decision was commit, so the
         // remaining prepared rows must be applied too. No evidence means
         // no replica passed the commit point: release (abort).
-        let commit = st.committed > 0 || self.commit_applied.get(&tx).copied().unwrap_or(0) > 0;
+        let commit = st.committed > 0 || self.ldm_txs.get(&tx).is_some_and(|ltx| ltx.committed > 0);
         for &r in &st.reporters {
             if r as usize == self.my_idx {
                 continue;
@@ -1994,22 +2056,20 @@ impl DatanodeActor {
     /// Applies this node's prepared rows of a taken-over transaction (in
     /// token order) and releases its locks.
     fn takeover_commit_local(&mut self, ctx: &mut Ctx<'_>, tx: TxId) {
-        let mut tokens: Vec<u64> = self
-            .pending_writes
-            .keys()
-            .filter(|(t, _)| *t == tx)
-            .map(|&(_, token)| token)
-            .collect();
-        tokens.sort_unstable();
-        if !tokens.is_empty() {
-            let cost = (LDM_WRITE / 2) * tokens.len() as u64;
+        let writes: Vec<WriteOp> = match self.ldm_txs.get_mut(&tx) {
+            Some(ltx) => {
+                let tokens = ltx.prepared();
+                tokens.into_iter().filter_map(|token| ltx.get_mut(token)?.write.take()).collect()
+            }
+            None => Vec::new(),
+        };
+        if !writes.is_empty() {
+            let cost = (LDM_WRITE / 2) * writes.len() as u64;
             ctx.execute(lane::LDM, cost);
         }
-        for token in tokens {
-            if let Some(op) = self.pending_writes.remove(&(tx, token)) {
-                self.apply_write(&op);
-                self.stats.rows_committed += 1;
-            }
+        for op in &writes {
+            self.apply_write(op);
+            self.stats.rows_committed += 1;
         }
         self.release_tx_local(ctx, tx);
     }
@@ -2068,13 +2128,7 @@ impl Actor for DatanodeActor {
             // `fig_az_outage` uses this to show the stale-read/durability
             // violations the recovery protocol exists to prevent.
             self.locks = LockManager::default();
-            self.lock_conts.clear();
-            self.lock_queued.clear();
-            self.pending_writes.clear();
-            self.row_of_token.clear();
-            self.tx_coordinator.clear();
-            self.commit_applied.clear();
-            self.awaiting_takeover.clear();
+            self.ldm_txs.clear();
             self.takeover.clear();
             self.txs.clear();
             self.redo_pending = 0;

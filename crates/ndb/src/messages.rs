@@ -5,6 +5,7 @@
 use crate::locks::TxId;
 use crate::schema::{LockMode, PartitionKey, Row, RowKey, TableId};
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// One read in a transaction step.
 #[derive(Debug, Clone)]
@@ -253,7 +254,7 @@ pub struct PrepareRow {
     /// Coordinator continuation token (one per written row).
     pub token: u64,
     /// Replica chain as datanode indices, primary first.
-    pub chain: Vec<u32>,
+    pub chain: Arc<[u32]>,
     /// This hop's position in the chain.
     pub pos: u8,
     /// The write to prepare.
@@ -300,7 +301,7 @@ pub struct CommitRow {
     /// Continuation token.
     pub token: u64,
     /// Replica chain (same as the prepare chain).
-    pub chain: Vec<u32>,
+    pub chain: Arc<[u32]>,
     /// This hop's position (runs `chain.len()-1` down to 0).
     pub pos: u8,
     /// Datanode index of the coordinator.

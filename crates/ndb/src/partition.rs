@@ -93,16 +93,27 @@ impl PartitionMap {
     /// The primary rotates within the node group with the partition id so
     /// primaries spread evenly over group members.
     pub fn replicas(&self, pid: PartitionId) -> Vec<usize> {
-        let group = self.group_of(pid);
-        let base = group * self.replication;
+        self.replica_iter(pid).collect()
+    }
+
+    /// First datanode index of a partition's node group, and the offset of
+    /// its primary within the group.
+    fn group_base_and_lead(&self, pid: PartitionId) -> (usize, usize) {
+        let base = self.group_of(pid) * self.replication;
         let lead = (pid.0 as usize / self.groups) % self.replication;
-        (0..self.replication).map(|i| base + (lead + i) % self.replication).collect()
+        (base, lead)
+    }
+
+    fn replica_iter(&self, pid: PartitionId) -> impl Iterator<Item = usize> {
+        let (base, lead) = self.group_base_and_lead(pid);
+        let r = self.replication;
+        (0..r).map(move |i| base + (lead + i) % r)
     }
 
     /// Like [`PartitionMap::replicas`] but with dead nodes removed; the
     /// first surviving replica acts as primary (backup promotion).
     pub fn replicas_alive(&self, pid: PartitionId, alive: &[bool]) -> Vec<usize> {
-        self.replicas(pid).into_iter().filter(|&i| alive.get(i).copied().unwrap_or(false)).collect()
+        self.replica_iter(pid).filter(|&i| alive.get(i).copied().unwrap_or(false)).collect()
     }
 
     /// The linear-2PC chain for a write to a partition, honoring the
@@ -142,14 +153,20 @@ impl PartitionMap {
         if options.fully_replicated {
             idx < self.active_len()
         } else {
-            self.replicas(pid).contains(&idx)
+            self.replica_rank(idx, pid).is_some()
         }
     }
 
     /// Rank of a datanode within a partition's replica list (0 = primary in
     /// the failure-free case), or `None` if it does not store the partition.
     pub fn replica_rank(&self, idx: usize, pid: PartitionId) -> Option<u8> {
-        self.replicas(pid).iter().position(|&i| i == idx).map(|p| p as u8)
+        let (base, lead) = self.group_base_and_lead(pid);
+        let r = self.replication;
+        if !(base..base + r).contains(&idx) {
+            return None;
+        }
+        // `replicas` puts `base + (lead + i) % r` at rank `i`; invert it.
+        Some(((idx - base + r - lead) % r) as u8)
     }
 }
 
@@ -292,6 +309,23 @@ mod tests {
         let mut sorted = chain.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn rank_and_stores_match_the_replica_list() {
+        let cfg = ClusterConfig::az_aware(12, 3, &[AzId(0), AzId(1), AzId(2)]);
+        for groups in 1..=cfg.node_group_count() {
+            let m = PartitionMap::with_groups(&cfg, groups);
+            for p in 0..m.partition_count() as u32 {
+                let pid = PartitionId(p);
+                let reps = m.replicas(pid);
+                for idx in 0..cfg.datanodes.len() + 2 {
+                    let rank = reps.iter().position(|&i| i == idx).map(|r| r as u8);
+                    assert_eq!(m.replica_rank(idx, pid), rank, "pid {p} idx {idx} groups {groups}");
+                    assert_eq!(m.stores(idx, pid, TableOptions::default()), rank.is_some());
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,7 @@ use crate::partition::PartitionMap;
 use crate::schema::{PartitionKey, TableId};
 use crate::view::ClusterView;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use simnet::{AzId, Location};
 
 /// Proximity score between a caller and a datanode, in ascending order of
@@ -81,26 +80,8 @@ pub fn select_tc(
     if !any_alive {
         return None;
     }
-    let by_proximity = |candidates: &[usize], rng: &mut StdRng| -> Option<usize> {
-        let best = candidates
-            .iter()
-            .filter(|&&i| alive[i])
-            .map(|&i| {
-                (proximity_score(caller, caller_domain, view.location_of(i), view.domain_of(i)), i)
-            })
-            .min_by_key(|&(score, _)| score)?;
-        // Uniformly pick among equal-score candidates for load balance.
-        let ties: Vec<usize> = candidates
-            .iter()
-            .filter(|&&i| alive[i])
-            .filter(|&&i| {
-                proximity_score(caller, caller_domain, view.location_of(i), view.domain_of(i))
-                    == best.0
-            })
-            .copied()
-            .collect();
-        ties.choose(rng).copied()
-    };
+    let score = |i: usize| proximity_score(caller, caller_domain, view.location_of(i), view.domain_of(i));
+    let live = |i: &usize| alive[*i];
 
     match hint {
         Some((table, pk)) => {
@@ -109,19 +90,18 @@ pub fn select_tc(
             let candidates = pmap.read_replicas(pid, options, alive);
             if candidates.is_empty() {
                 // Case 4 fallback: no (alive) nodes for this partition key.
-                let all: Vec<usize> = (0..active_len).collect();
-                return by_proximity(&all, rng).map(|i| (i, TcCase::NoHint));
+                return nearest((0..active_len).filter(live), score, rng).map(|i| (i, TcCase::NoHint));
             }
             if caller_domain.is_none() {
                 // Vanilla DAT: primary replica of the partition.
                 return Some((candidates[0], TcCase::Default));
             }
             if options.fully_replicated {
-                let all: Vec<usize> = (0..active_len).collect();
-                return by_proximity(&all, rng).map(|i| (i, TcCase::FullyReplicated));
+                return nearest((0..active_len).filter(live), score, rng)
+                    .map(|i| (i, TcCase::FullyReplicated));
             }
             let case = if options.read_backup { TcCase::ReadBackup } else { TcCase::Default };
-            by_proximity(&candidates, rng).map(|i| (i, case))
+            nearest(candidates.iter().copied().filter(live), score, rng).map(|i| (i, case))
         }
         None => {
             if caller_domain.is_none() {
@@ -130,10 +110,23 @@ pub fn select_tc(
                 let pick = aliveset[rng.gen_range(0..aliveset.len())];
                 return Some((pick, TcCase::NoHint));
             }
-            let all: Vec<usize> = (0..active_len).collect();
-            by_proximity(&all, rng).map(|i| (i, TcCase::NoHint))
+            nearest((0..active_len).filter(live), score, rng).map(|i| (i, TcCase::NoHint))
         }
     }
+}
+
+/// Uniformly picks one of the lowest-scoring candidates (load balance among
+/// equally close nodes) with a single `next_u64() % ties` draw, or `None`
+/// without candidates.
+fn nearest(
+    candidates: impl Iterator<Item = usize> + Clone,
+    score: impl Fn(usize) -> u8,
+    rng: &mut StdRng,
+) -> Option<usize> {
+    let best = candidates.clone().map(&score).min()?;
+    let mut ties = candidates.filter(|&i| score(i) == best);
+    let n = ties.clone().count() as u64;
+    ties.nth((rng.next_u64() % n) as usize)
 }
 
 /// Chooses the replica that should serve a read-committed read, given the

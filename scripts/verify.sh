@@ -12,6 +12,12 @@ cargo build --release --workspace
 echo "== benchmark build (perfbench, a separate package on the public crate APIs) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark smoke (each perfbench workload once: acked-mutation audit and invariant checks) =="
+for w in spotify mutations openloop; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
+
 echo "== tier-1 tests =="
 cargo test -q --workspace
 
